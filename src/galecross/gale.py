@@ -157,6 +157,11 @@ class LinearSeparation:
         }
 
 
+def proper_sizes(n: int) -> tuple[int, int]:
+    """Part sizes floor(n/2) and ceil(n/2) of a proper separation of n labels."""
+    return (n // 2, (n + 1) // 2)
+
+
 def _negate(v):
     return tuple(-x for x in v)
 
@@ -166,8 +171,8 @@ def gale_transform(config: PointConfig) -> GaleDiagram:
     n, d = config.n, config.dimension
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2 so that m >= 1")
-    if not is_general_position(config):
-        bad = find_degenerate_subset(config)
+    bad = find_degenerate_subset(config)
+    if bad is not None:
         raise InvalidInputError(
             f"configuration is not in general position: "
             f"affinely dependent subset {sorted(bad)}"
@@ -253,8 +258,7 @@ def separation_to_crossing(diagram: GaleDiagram, separation: LinearSeparation) -
     labels = set(diagram.labels())
     if set(separation.side_a) | set(separation.side_b) != labels:
         raise InvalidInputError("separation labels do not match the diagram")
-    n = diagram.source_n
-    proper = {n // 2, (n + 1) // 2}
+    proper = set(proper_sizes(diagram.source_n))
     if set(separation.sizes()) != proper:
         raise InvalidInputError(
             f"not a proper separation: sizes {separation.sizes()}, expected {sorted(proper)}"

@@ -2,22 +2,30 @@
 bisecting-cut search, and the iterative coloring schedules that manufacture
 many distinct separations.
 
+Every result here is drawn from one scan of the diagram's candidate
+hyperplanes: for each (m-1)-subset of vectors, the hyperplane through the
+origin that they span, with the strict sides of all other vectors. The scan is
+also the spanning check. It fails exactly when some m-subset of vectors has
+rank below m: either an (m-1)-subset is dependent, or a further vector lies on
+its hyperplane. So a spanning diagram has one candidate per (m-1)-subset,
+and each public call scans it once.
+
 Enumeration rests on a rotation argument: any hyperplane strictly separating
 the vectors can be rotated, without any vector changing sides, until it
-contains m-1 of them. So scanning every (m-1)-subset's normal and every sign
-assignment of the on-plane vectors visits every realizable partition, and the
-2^(m-1) assignments are all realizable because independent on-plane vectors
-can be pushed to prescribed sides by an arbitrarily small tilt.
+contains m-1 of them. So scanning every candidate and every sign assignment of
+its on-plane vectors visits every realizable partition, and the 2^(m-1)
+assignments are all realizable because independent on-plane vectors can be
+pushed to prescribed sides by an arbitrarily small tilt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidInputError, SearchIncompleteError
-from .gale import GaleDiagram, LinearSeparation, verify_spanning
+from .gale import GaleDiagram, LinearSeparation, proper_sizes
 from .linalg import Matrix, kernel_basis
 
 ZERO = Fraction(0)
@@ -31,7 +39,6 @@ class HamSandwichInstance:
     ambient: int
     c1: frozenset
     c2: frozenset
-    c3_origin: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "c1", frozenset(self.c1))
@@ -44,7 +51,8 @@ class HamSandwichInstance:
             "ambient": self.ambient,
             "c1": sorted(self.c1),
             "c2": sorted(self.c2),
-            "c3_origin": self.c3_origin,
+            # constant: the key keeps the trace schema of earlier versions
+            "c3_origin": True,
         }
 
 
@@ -88,16 +96,18 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def _oriented_candidates(diagram: GaleDiagram):
+def _oriented_candidates(diagram: GaleDiagram) -> list:
     """All candidate hyperplanes: for each (m-1)-subset of vectors, the normal
-    of its span plus the strict classification of the remaining vectors.
-
-    Requires the spanning property, under which each subset spans exactly
-    (m-1) dimensions and no further vector lies on its hyperplane. Yields
+    of its span plus the strict classification of the remaining vectors, as
     (on_plane_labels, normal, plus_labels, minus_labels) in lexicographic
-    subset order; for m = 1 the single candidate is the coordinate axis."""
+    subset order; for m = 1 the single candidate is the coordinate axis.
+
+    The full scan is the spanning check: it raises InvalidInputError when a
+    subset spans fewer than m-1 dimensions or a further vector lies on its
+    hyperplane, which is exactly when some m-subset has rank below m."""
     m = diagram.m
     labels = sorted(diagram.labels())
+    candidates = []
     for subset in combinations(labels, m - 1):
         if subset:
             mat = Matrix([diagram.vector(lab) for lab in subset], cols=m)
@@ -112,7 +122,6 @@ def _oriented_candidates(diagram: GaleDiagram):
             normal = (Fraction(1),)
         plus = []
         minus = []
-        degenerate = False
         for lab in labels:
             if lab in subset:
                 continue
@@ -122,14 +131,12 @@ def _oriented_candidates(diagram: GaleDiagram):
             elif d < 0:
                 minus.append(lab)
             else:
-                degenerate = True
-                break
-        if degenerate:
-            raise InvalidInputError(
-                "an extra vector lies on a candidate hyperplane; "
-                "diagram violates the spanning precondition"
-            )
-        yield subset, normal, tuple(plus), tuple(minus)
+                raise InvalidInputError(
+                    "an extra vector lies on a candidate hyperplane; "
+                    "diagram violates the spanning precondition"
+                )
+        candidates.append((subset, normal, tuple(plus), tuple(minus)))
+    return candidates
 
 
 def _assignments(subset):
@@ -152,6 +159,25 @@ def _materialize(normal, plus, minus, assignment) -> LinearSeparation | None:
     return LinearSeparation(frozenset(side_a), frozenset(side_b), normal, assignment)
 
 
+def _sized(candidates, sizes):
+    """Separations with part sizes {s1, s2} from each candidate and each sign
+    assignment of its on-plane vectors, in scan order."""
+    wanted = set(sizes)
+    for subset, normal, plus, minus in candidates:
+        for assignment in _assignments(subset):
+            sep = _materialize(normal, plus, minus, assignment)
+            if sep is not None and set(sep.sizes()) == wanted:
+                yield sep
+
+
+def _enumerated(candidates, sizes) -> list[LinearSeparation]:
+    """The sized separations, deduped by partition and sorted."""
+    out = {}
+    for sep in _sized(candidates, sizes):
+        out.setdefault(sep.partition(), sep)
+    return [out[key] for key in sorted(out, key=_partition_key)]
+
+
 def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]:
     """Every partition of the diagram's labels with part sizes {s1, s2} that a
     hyperplane through the origin realizes strictly (after on-plane sign
@@ -163,17 +189,7 @@ def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]
     if s1 < 1 or s2 < 1:
         # a strict hyperplane cannot leave one side empty: the vectors sum to zero
         return []
-    if not verify_spanning(diagram):
-        raise InvalidInputError("diagram violates the spanning precondition")
-    wanted = {s1, s2}
-    out = {}
-    for subset, normal, plus, minus in _oriented_candidates(diagram):
-        for assignment in _assignments(subset):
-            sep = _materialize(normal, plus, minus, assignment)
-            if sep is None or set(sep.sizes()) != wanted:
-                continue
-            out.setdefault(sep.partition(), sep)
-    return [out[key] for key in sorted(out, key=_partition_key)]
+    return _enumerated(_oriented_candidates(diagram), sizes)
 
 
 def _partition_key(partition):
@@ -202,58 +218,34 @@ def _bisects(diagram: GaleDiagram, normal, inst: HamSandwichInstance) -> bool:
     return True
 
 
-def _check_cut_inputs(diagram: GaleDiagram, inst: HamSandwichInstance, sizes):
-    if diagram.m > 3:
-        raise InvalidInputError("cut search supports diagrams in R^1..R^3 only")
-    if not inst.c3_origin:
-        raise InvalidInputError("the origin must belong to the third color class")
-    labels = set(diagram.labels())
-    if not (set(inst.c1) <= labels and set(inst.c2) <= labels):
-        raise InvalidInputError("color classes mention unknown labels")
-    s1, s2 = sizes
-    if s1 + s2 != diagram.source_n or s1 < 1 or s2 < 1:
-        raise InvalidInputError(f"part sizes {sizes} do not fit the diagram")
-    if not verify_spanning(diagram):
-        raise InvalidInputError("diagram violates the spanning precondition")
+def _cuts(diagram: GaleDiagram, candidates, inst: HamSandwichInstance, sizes):
+    """The sized separations of the candidates whose hyperplane bisects both
+    color classes, in scan order.
 
-
-def ham_sandwich_candidates(diagram: GaleDiagram, inst: HamSandwichInstance, sizes):
-    """All cuts from the finite candidate family meeting both the bisection
-    bound and the size constraint, in deterministic order."""
-    wanted = set(sizes)
-    for subset, normal, plus, minus in _oriented_candidates(diagram):
-        if not _bisects(diagram, normal, inst):
-            continue
-        for assignment in _assignments(subset):
-            sep = _materialize(normal, plus, minus, assignment)
-            if sep is not None and set(sep.sizes()) == wanted:
-                yield sep
-
-
-def ham_sandwich_cut_traced(
-    diagram: GaleDiagram, inst: HamSandwichInstance, sizes
-) -> tuple[LinearSeparation, bool]:
-    """The cut plus a flag telling whether the enumeration fallback produced it."""
-    _check_cut_inputs(diagram, inst, sizes)
-    for sep in ham_sandwich_candidates(diagram, inst, sizes):
-        return sep, False
-    for sep in enumerate_separations(diagram, sizes):
-        if _bisects(diagram, sep.witness_normal, inst):
-            return sep, True
-    raise SearchIncompleteError(
-        "no bisecting separation with the requested sizes exists in the "
-        "complete enumeration: SEARCH_INCOMPLETE"
-    )
+    Every enumerated separation's normal is plus or minus a candidate's, and
+    the bisection bound ignores the sign, so no enumerated separation outside
+    this family bisects."""
+    bisecting = (c for c in candidates if _bisects(diagram, c[1], inst))
+    return _sized(bisecting, sizes)
 
 
 def ham_sandwich_cut(diagram: GaleDiagram, inst: HamSandwichInstance, sizes) -> LinearSeparation:
     """First separation with the requested part sizes whose hyperplane leaves at
     most half of each color class strictly on each side."""
-    return ham_sandwich_cut_traced(diagram, inst, sizes)[0]
-
-
-def _proper_sizes(n: int) -> tuple[int, int]:
-    return (n // 2, (n + 1) // 2)
+    if diagram.m > 3:
+        raise InvalidInputError("cut search supports diagrams in R^1..R^3 only")
+    labels = set(diagram.labels())
+    if not (inst.c1 <= labels and inst.c2 <= labels):
+        raise InvalidInputError("color classes mention unknown labels")
+    s1, s2 = sizes
+    if s1 + s2 != diagram.source_n or s1 < 1 or s2 < 1:
+        raise InvalidInputError(f"part sizes {sizes} do not fit the diagram")
+    for sep in _cuts(diagram, _oriented_candidates(diagram), inst, sizes):
+        return sep
+    raise SearchIncompleteError(
+        "no bisecting separation with the requested sizes exists in the "
+        "complete enumeration: SEARCH_INCOMPLETE"
+    )
 
 
 def _blocks(labels, separations):
@@ -292,18 +284,20 @@ def _newly_separated(seen, sep):
 
 
 class _CutPicker:
-    """Shared machinery for schedules: deterministic choice of the next cut,
-    with the enumeration as a last-resort fallback."""
+    """Shared machinery for schedules: deterministic choice of the next cut
+    from the diagram's one candidate scan, with the enumeration as a
+    last-resort fallback."""
 
     def __init__(self, diagram: GaleDiagram, sizes):
         self.diagram = diagram
         self.sizes = sizes
+        self.candidates = _oriented_candidates(diagram)
         self.seen: list[LinearSeparation] = []
         self._enumerated = None
 
     def enumerated(self):
         if self._enumerated is None:
-            self._enumerated = enumerate_separations(self.diagram, self.sizes)
+            self._enumerated = _enumerated(self.candidates, self.sizes)
         return self._enumerated
 
     def pick(self, inst: HamSandwichInstance, predicates) -> tuple[LinearSeparation, str]:
@@ -311,9 +305,9 @@ class _CutPicker:
         predicate available; predicates are tried strongest-first. Falls back
         to any unseen enumerated separation satisfying the weakest predicate,
         then to any unseen separation at all."""
-        candidates = list(ham_sandwich_candidates(self.diagram, inst, self.sizes))
+        cuts = list(_cuts(self.diagram, self.candidates, inst, self.sizes))
         for pred in predicates:
-            for sep in candidates:
+            for sep in cuts:
                 if sep not in self.seen and pred(sep):
                     return sep, "cut"
         for pred in predicates:
@@ -351,11 +345,8 @@ def schedule_eight(diagram: GaleDiagram) -> ScheduleTrace:
     earlier separation gives (case i)."""
     if diagram.m != 3 or diagram.source_n != 8:
         raise InvalidInputError("schedule needs exactly 8 vectors in R^3")
-    if not verify_spanning(diagram):
-        raise InvalidInputError("diagram violates the spanning precondition")
     labels = sorted(diagram.labels())
-    sizes = _proper_sizes(8)
-    picker = _CutPicker(diagram, sizes)
+    picker = _CutPicker(diagram, proper_sizes(8))
     steps = []
 
     def run_step(inst, predicates, kind_note=""):
@@ -397,17 +388,11 @@ def schedule_eight(diagram: GaleDiagram) -> ScheduleTrace:
         case = "case_i"
         quad = _find_lopsided_quad(labels, picker.seen)
         if quad is None:
-            sep, _ = _fallback_any(picker)
-            new_pairs = _newly_separated(picker.seen, sep)
-            picker.record(sep)
-            steps.append(
-                ScheduleStep(
-                    HamSandwichInstance(diagram.m, frozenset(), frozenset()),
-                    sep,
-                    new_pairs,
-                    "fallback",
-                    "no 3-1 quad exists; took an unseen separation",
-                )
+            # with no predicates the picker takes the first unseen separation
+            run_step(
+                HamSandwichInstance(diagram.m, frozenset(), frozenset()),
+                [],
+                "no 3-1 quad exists; took an unseen separation",
             )
         else:
 
@@ -430,13 +415,6 @@ def schedule_eight(diagram: GaleDiagram) -> ScheduleTrace:
     trace = ScheduleTrace(tuple(steps), case)
     _assert_distinct(trace)
     return trace
-
-
-def _fallback_any(picker: _CutPicker):
-    for sep in picker.enumerated():
-        if sep not in picker.seen:
-            return sep, "fallback"
-    raise SearchIncompleteError("no unseen separation remains: SEARCH_INCOMPLETE")
 
 
 def _find_lopsided_quad(labels, separations):
@@ -476,12 +454,9 @@ def schedule_blocks(diagram: GaleDiagram) -> ScheduleTrace:
         # eight vectors: the four-cut schedule subsumes block refinement and
         # certifies four distinct separations, one more than log2(8)
         return schedule_eight(diagram)
-    if not verify_spanning(diagram):
-        raise InvalidInputError("diagram violates the spanning precondition")
     labels = sorted(diagram.labels())
     all_labels = frozenset(labels)
-    sizes = _proper_sizes(len(labels))
-    picker = _CutPicker(diagram, sizes)
+    picker = _CutPicker(diagram, proper_sizes(len(labels)))
     steps = []
     while True:
         blocks = _blocks(labels, picker.seen)

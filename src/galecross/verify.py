@@ -12,13 +12,12 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .configs import LabeledPoint, PointConfig, lift_odd, random_config
+from .configs import PointConfig, draw_config, lift_odd, random_config
 from .crossing import count_crossing_pairs, extend_crossing, simplices_cross, vkf_find
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
-from .gale import gale_transform, separation_to_crossing, verify_duality
+from .gale import gale_transform, proper_sizes, separation_to_crossing, verify_duality
 from .separations import schedule_blocks, schedule_eight, enumerate_separations
 
 DEFAULT_RANGE = 1000
@@ -89,10 +88,6 @@ def _run_trials(check_name: str, trials: int, seed: int, single_trial) -> Verifi
     )
 
 
-def _proper_sizes(n: int) -> tuple[int, int]:
-    return (n // 2, (n + 1) // 2)
-
-
 def check_bijection(config: PointConfig) -> str:
     """One configuration's crossing/separation correspondence, as a failure
     detail string (empty when everything matches).
@@ -105,7 +100,7 @@ def check_bijection(config: PointConfig) -> str:
         raise InvalidInputError(
             f"budget exceeded: C({n},{n // 2}) > {EXHAUSTIVE_BUDGET} exhaustive checks"
         )
-    p, q = _proper_sizes(n)
+    p, q = proper_sizes(n)
     diagram = gale_transform(config)
     separations = enumerate_separations(diagram, (p, q))
     direct = count_crossing_pairs(config, p, q, keep_witnesses=True)
@@ -324,22 +319,6 @@ def verify_planar_constant(n: int, trials: int, seed: int) -> VerificationReport
     return _run_trials(f"planar constant n={n}", trials, seed, trial)
 
 
-def _raw_config(n: int, d: int, seed: int, coord_range: int) -> PointConfig:
-    # no general-position rejection: degenerate outputs are the point here
-    rng = random.Random(seed)
-    points = tuple(
-        LabeledPoint(
-            f"p{i + 1}",
-            tuple(
-                Fraction(rng.randrange(-coord_range, coord_range + 1))
-                for _ in range(d)
-            ),
-        )
-        for i in range(n)
-    )
-    return PointConfig(d, points)
-
-
 def check_duality(config: PointConfig) -> str:
     if not verify_duality(config):
         return "position/spanning equivalence failed"
@@ -354,7 +333,8 @@ def verify_position_duality(d: int, n: int, trials: int, seed: int) -> Verificat
         raise InvalidInputError("need n >= d + 2")
 
     def trial(trial_seed: int) -> str:
-        return check_duality(_raw_config(n, d, trial_seed, 3))
+        # no general-position rejection: degenerate samples are the point here
+        return check_duality(draw_config(random.Random(trial_seed), n, d, 3))
 
     return _run_trials(f"position duality d={d} n={n}", trials, seed, trial)
 

@@ -21,7 +21,7 @@ from galecross import (
     enumerate_separations,
     extend_crossing,
     gale_transform,
-    ham_sandwich_cut_traced,
+    ham_sandwich_cut,
     is_general_position,
     is_realizable,
     random_config,
@@ -245,7 +245,7 @@ def _open_side_counts(diagram, separation, labels):
 @criterion("ham sandwich contract")
 def test_ham_sandwich_contract():
     rng = random.Random(88)
-    verified = fallbacks = incomplete = 0
+    verified = incomplete = 0
     for i in range(100):
         n = 7 + i % 6
         dia = gale_transform(random_config(n, n - 4, seed=80_000 + i, coord_range=1000))
@@ -256,7 +256,7 @@ def test_ham_sandwich_contract():
         inst = HamSandwichInstance(3, frozenset(labels[:k1]), frozenset(labels[k1 : k1 + k2]))
         sizes = (n // 2, (n + 1) // 2)
         try:
-            cut, used_fallback = ham_sandwich_cut_traced(dia, inst, sizes)
+            cut = ham_sandwich_cut(dia, inst, sizes)
         except SearchIncompleteError:
             # honest refusals must be provable: no proper-size separation may
             # satisfy the bounds when the whole enumeration is audited
@@ -272,7 +272,6 @@ def test_ham_sandwich_contract():
             )
             incomplete += 1
             continue
-        fallbacks += used_fallback
         for cls in (inst.c1, inst.c2):
             up, down = _open_side_counts(dia, cut, cls)
             assert max(up, down) <= len(cls) // 2, (
@@ -281,7 +280,6 @@ def test_ham_sandwich_contract():
         verified += 1
     detail = (
         f"{verified} cuts re-verified against the open-side bounds, "
-        f"{fallbacks} enumeration fallbacks, "
         f"{incomplete} instance(s) audited as genuinely unbisectable"
     )
     return verified + incomplete == 100, detail

@@ -1,9 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+import galecross.crossing
 from conftest import config_from
+from galecross import simplices_cross
 from galecross.cli import REPRO_BUNDLE, main
+from galecross.errors import TheoremViolationError
+from galecross.lp import OPTIMAL, LpResult
 
 
 def run(capsys, *argv):
@@ -137,6 +142,23 @@ def test_hamsandwich_incomplete_exit_3_with_bundle(tmp_path, capsys, zigzag_squa
     assert bundle["argv"][0] == "hamsandwich"
     assert bundle["error_kind"] == "SearchIncompleteError"
     assert bundle["input"]["points"][0]["label"] == "p1"
+
+
+def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, monkeypatch):
+    # an "optimal" answer whose weights are not a relative-interior point must
+    # surface as a typed invariant breach, never as an AssertionError
+    bogus = LpResult(OPTIMAL, Fraction(1), (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+    monkeypatch.setattr(galecross.crossing, "lp_max_min", lambda a, b: bogus)
+    with pytest.raises(TheoremViolationError):
+        simplices_cross(cyclic_square, ["p1", "p3"], ["p2", "p4"])
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cyclic_square)
+    code, _, stderr = run(capsys, "cross", "--in", path, "--a", "p1,p3", "--b", "p2,p4")
+    assert code == 3
+    assert "THEOREM_VIOLATION" in stderr
+    bundle = json.loads((tmp_path / REPRO_BUNDLE).read_text())
+    assert bundle["argv"][0] == "cross"
+    assert bundle["error_kind"] == "TheoremViolationError"
 
 
 def test_schedule_eight_from_point_file(tmp_path, capsys):

@@ -14,7 +14,6 @@ After a deliberate change of output, re-record the corpus with
 import contextlib
 import io
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -121,4 +120,4 @@ def _record():
 
 
 if __name__ == "__main__":
-    sys.exit(_record())
+    _record()

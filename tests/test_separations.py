@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galecross import (
     GaleDiagram,
@@ -13,7 +14,6 @@ from galecross import (
     enumerate_separations,
     gale_transform,
     ham_sandwich_cut,
-    ham_sandwich_cut_traced,
     is_realizable,
     moment_curve_config,
     random_config,
@@ -21,8 +21,10 @@ from galecross import (
     schedule_eight,
     separation_classifies,
     separation_to_crossing,
+    verify_spanning,
 )
 from galecross.errors import InvalidInputError, SearchIncompleteError
+from galecross.gale import proper_sizes
 from oracles import sampled_separations
 
 F = Fraction
@@ -120,6 +122,43 @@ def test_spanning_violation_rejected():
         enumerate_separations(dia, (2, 2))
 
 
+@st.composite
+def small_diagrams(draw):
+    """Diagrams of distinct vectors with m in {1, 2, 3} and coordinates in
+    [-2, 2], so that dependent subsets and vectors on candidate hyperplanes
+    are common; distinct vectors keep spanning diagrams common too."""
+    m = draw(st.integers(1, 3))
+    n = m + draw(st.integers(0, 2)) + 1
+    vector = st.tuples(*[st.integers(-2, 2)] * m)
+    rows = draw(st.lists(vector, min_size=n, max_size=n, unique=True))
+    return hand_diagram(m, n - m - 1, [(f"g{i + 1}", row) for i, row in enumerate(rows)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_diagrams())
+def test_candidate_scan_is_the_spanning_check(dia):
+    spanning = verify_spanning(dia)
+    sizes = proper_sizes(dia.source_n)
+    emitted = []
+    try:
+        emitted += enumerate_separations(dia, sizes)
+    except InvalidInputError:
+        assert not spanning
+    else:
+        assert spanning
+    try:
+        cut = ham_sandwich_cut(dia, HamSandwichInstance(dia.m, frozenset(), frozenset()), sizes)
+    except InvalidInputError:
+        assert not spanning
+    except SearchIncompleteError:
+        assert spanning
+    else:
+        assert spanning
+        emitted.append(cut)
+    for sep in emitted:
+        assert separation_classifies(dia, sep)
+
+
 def test_instance_validation():
     with pytest.raises(InvalidInputError):
         HamSandwichInstance(3, frozenset({"p1"}), frozenset({"p1", "p2"}))
@@ -139,7 +178,7 @@ def test_ham_sandwich_bound_re_verified():
         )
         sizes = (n // 2, (n + 1) // 2)
         try:
-            sep, fallback = ham_sandwich_cut_traced(dia, inst, sizes)
+            sep = ham_sandwich_cut(dia, inst, sizes)
         except SearchIncompleteError:
             continue
         assert set(sep.sizes()) == set(sizes)
@@ -158,18 +197,16 @@ def test_ham_sandwich_bound_re_verified():
                 if lab not in shifts
                 and sum(a * b for a, b in zip(sep.witness_normal, dia.vector(lab))) < 0
             )
-            assert up <= bound and down <= bound, (trial, sorted(cls), fallback)
+            assert up <= bound and down <= bound, (trial, sorted(cls))
 
 
 def test_ham_sandwich_two_and_two():
     # both classes of size 2: each open side carries at most one of each
     dia = diagram_of(8, 4)
     inst = HamSandwichInstance(3, frozenset({"p1", "p2"}), frozenset({"p3", "p4"}))
-    sep, fallback = ham_sandwich_cut_traced(dia, inst, (4, 4))
-    assert not fallback
+    sep = ham_sandwich_cut(dia, inst, (4, 4))
     assert len(sep.side_a & inst.c1) <= 1 + sum(1 for l, _ in sep.witness_shifts if l in inst.c1)
     assert len(sep.side_a & inst.c2) <= 1 + sum(1 for l, _ in sep.witness_shifts if l in inst.c2)
-    assert ham_sandwich_cut(dia, inst, (4, 4)) == sep
 
 
 def test_ham_sandwich_search_incomplete(zigzag_square):
@@ -186,12 +223,6 @@ def test_ham_sandwich_input_errors():
         ham_sandwich_cut(dia, HamSandwichInstance(3, frozenset({"zz"}), frozenset()), (4, 4))
     with pytest.raises(InvalidInputError):
         ham_sandwich_cut(dia, HamSandwichInstance(3, frozenset(), frozenset()), (5, 4))
-    with pytest.raises(InvalidInputError):
-        ham_sandwich_cut(
-            dia,
-            HamSandwichInstance(3, frozenset(), frozenset(), c3_origin=False),
-            (4, 4),
-        )
 
 
 def test_schedule_eight_moment_frozen():
