@@ -16,7 +16,6 @@ import sys
 from .configs import (
     PointConfig,
     find_degenerate_subset,
-    is_general_position,
     moment_curve_config,
     random_config,
 )
@@ -105,8 +104,9 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
 
 def _cmd_check(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    gp = is_general_position(config)
-    bad = None if gp else sorted(find_degenerate_subset(config))
+    found = find_degenerate_subset(config)
+    bad = None if found is None else sorted(found)
+    gp = bad is None
     payload = {
         "config_id": config.config_id(),
         "n": config.n,

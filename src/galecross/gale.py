@@ -23,8 +23,8 @@ from .configs import (
 )
 from .errors import InvalidInputError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import Matrix, ONE, kernel_basis, rank
-from .lp import max_min_dot
+from .linalg import Matrix, ONE, ZERO, kernel_basis, rank
+from .lp import OPTIMAL, lp_max_min
 from .rationals import format_vector, parse_vector
 
 
@@ -46,6 +46,8 @@ class GaleDiagram:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidInputError("diagram dimension m must be >= 1")
+        if self.source_d < 0:
+            raise InvalidInputError("source dimension source_d must be >= 0")
         if len(self.vectors) != self.m + self.source_d + 1:
             raise InvalidInputError("vector count must equal m + source_d + 1")
         labels = [v.label for v in self.vectors]
@@ -220,12 +222,21 @@ def verify_duality(config: PointConfig) -> bool:
 
 def is_realizable(diagram: GaleDiagram, separation: LinearSeparation) -> bool:
     """Independent re-check: does some hyperplane through the origin strictly
-    separate side_a from side_b? Decided by an exact box LP, not trusted from
-    the construction that produced the separation."""
+    separate side_a from side_b? Decided by an exact LP that ignores the
+    stored witness.
+
+    Let W have rows +g for side_a and -g for side_b. Some h has W h > 0 iff
+    the range of W holds a positive vector x, and the range of W is the set
+    of x orthogonal to the kernel of W^T. So the partition is realizable iff
+    max t subject to (kernel of W^T) x = 0, sum(x) = 1 and every x_i >= t has
+    an optimum t > 0; by Gordan's alternative, t <= 0 exactly when the origin
+    lies in the convex hull of the rows of W."""
     rows = [diagram.vector(lab) for lab in sorted(separation.side_a)]
     rows += [_negate(diagram.vector(lab)) for lab in sorted(separation.side_b)]
-    best, _ = max_min_dot(rows, diagram.m)
-    return best > 0
+    aeq = kernel_basis(Matrix(rows, cols=diagram.m).transpose())
+    aeq.append([ONE] * len(rows))
+    res = lp_max_min(Matrix(aeq, cols=len(rows)), [ZERO] * (len(aeq) - 1) + [ONE])
+    return res.status == OPTIMAL and res.objective > 0
 
 
 def separation_classifies(diagram: GaleDiagram, separation: LinearSeparation) -> bool:
@@ -235,7 +246,7 @@ def separation_classifies(diagram: GaleDiagram, separation: LinearSeparation) ->
     shifts = dict(separation.witness_shifts)
     h = separation.witness_normal
     for lab in diagram.labels():
-        dot = sum((a * b for a, b in zip(h, diagram.vector(lab))), Fraction(0))
+        dot = sum((a * b for a, b in zip(h, diagram.vector(lab))), ZERO)
         if dot == 0:
             sign = shifts.get(lab)
             if sign is None:
@@ -254,7 +265,17 @@ def separation_to_crossing(diagram: GaleDiagram, separation: LinearSeparation) -
 
     The diagram's kernel origin makes this index-preserving map land exactly on
     the crossing pairs: a kernel vector with signs split by a hyperplane is an
-    affine dependence with strictly positive weights on both sides."""
+    affine dependence with strictly positive weights on both sides.
+
+    The separation is accepted iff its stored witness certifies it, checked by
+    arithmetic alone: the normal classifies every vector
+    (separation_classifies), and the on-plane vectors listed in witness_shifts
+    are linearly independent, so an arbitrarily small tilt of the normal
+    pushes each to its recorded side. The check is sound on every diagram. It
+    is complete for the witnesses the library emits on spanning diagrams,
+    whose at most m-1 on-plane vectors are independent. A hand-built
+    separation whose stored witness is wrong is rejected even when some other
+    normal would realize it; is_realizable decides that question."""
     labels = set(diagram.labels())
     if set(separation.side_a) | set(separation.side_b) != labels:
         raise InvalidInputError("separation labels do not match the diagram")
@@ -263,6 +284,8 @@ def separation_to_crossing(diagram: GaleDiagram, separation: LinearSeparation) -
         raise InvalidInputError(
             f"not a proper separation: sizes {separation.sizes()}, expected {sorted(proper)}"
         )
-    if not is_realizable(diagram, separation):
-        raise InvalidInputError("separation is not strictly realizable")
+    shifted = [diagram.vector(lab) for lab, _ in separation.witness_shifts]
+    on_plane = Matrix(shifted, cols=diagram.m)
+    if not separation_classifies(diagram, separation) or rank(on_plane) < on_plane.rows:
+        raise InvalidInputError("separation is not strictly realizable by its stored witness")
     return SimplexPair(separation.side_a, separation.side_b)

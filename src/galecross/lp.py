@@ -5,10 +5,11 @@ no tolerances anywhere). Problem sizes in this package are tiny (tens of rows
 and columns), so clarity beats sparsity.
 
 Public surface:
-  lp_max_min  -- maximize t subject to Aeq x = b and x_i >= t (x otherwise free);
-                 the workhorse behind the crossing predicate.
-  max_min_dot -- maximize the minimum inner product <r_i, h> over the box
-                 [-1,1]^m; strict-separation realizability checks.
+  simplex_max -- maximize c.x subject to a x = b, x >= 0.
+  lp_max_min  -- maximize t subject to Aeq x = b and x_i >= t (x otherwise
+                 free). The package's one reduction to simplex_max: both the
+                 crossing predicate and the realizability check
+                 gale.is_realizable are stated as lp_max_min programs.
 """
 
 from __future__ import annotations
@@ -121,14 +122,12 @@ def simplex_max(c, a, b) -> LpResult:
     return LpResult(OPTIMAL, objective, tuple(x))
 
 
-def lp_max_min(aeq: Matrix, b, nvars: int | None = None) -> LpResult:
+def lp_max_min(aeq: Matrix, b) -> LpResult:
     """Maximize t subject to aeq.x = b and x_i >= t for every i; x free above t.
 
     Substitutes y_i = x_i - t >= 0 and splits the free t, then solves the
     standard form exactly. On "optimal" the solution is the original x."""
-    n = aeq.cols if nvars is None else nvars
-    if aeq.cols != n:
-        raise InvalidInputError("Aeq column count does not match nvars")
+    n = aeq.cols
     if len(b) != aeq.rows:
         raise InvalidInputError("b length does not match Aeq row count")
     row_sums = [sum(row, ZERO) for row in aeq.data]
@@ -140,44 +139,3 @@ def lp_max_min(aeq: Matrix, b, nvars: int | None = None) -> LpResult:
     t = res.objective
     x = tuple(res.solution[i] + t for i in range(n))
     return LpResult(OPTIMAL, t, x)
-
-
-def max_min_dot(rows, m: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Maximize min_i <rows[i], h> over h in the box [-1,1]^m.
-
-    Always feasible (h = 0 gives value 0 when rows exist) and bounded, so the
-    result is an exact optimum with its maximizing h. A strictly positive
-    optimum certifies a strict linear separation with normal h."""
-    if not rows:
-        raise InvalidInputError("max_min_dot needs at least one row")
-    n = len(rows)
-    rows = [tuple(map(Fraction, r)) for r in rows]
-    if any(len(r) != m for r in rows):
-        raise InvalidInputError("row width does not match m")
-    # variables: u_j = h_j + 1 in [0,2] (slack w_j), surplus s_i, t = tp - tm
-    nv = 2 * m + n + 2
-    a = []
-    b = []
-    for j in range(m):
-        row = [ZERO] * nv
-        row[j] = ONE
-        row[m + j] = ONE
-        a.append(row)
-        b.append(Fraction(2))
-    for i, r in enumerate(rows):
-        row = [ZERO] * nv
-        for j in range(m):
-            row[j] = r[j]
-        row[2 * m + i] = -ONE
-        row[2 * m + n] = -ONE
-        row[2 * m + n + 1] = ONE
-        a.append(row)
-        b.append(sum(r, ZERO))
-    c = [ZERO] * nv
-    c[2 * m + n] = ONE
-    c[2 * m + n + 1] = -ONE
-    res = simplex_max(c, a, b)
-    if res.status != OPTIMAL:
-        raise InvalidInputError("box-constrained LP failed; malformed rows")
-    h = tuple(res.solution[j] - 1 for j in range(m))
-    return res.objective, h

@@ -93,8 +93,10 @@ def check_bijection(config: PointConfig) -> str:
     detail string (empty when everything matches).
 
     Checks exact count equality, that every enumerated separation maps to a
-    pair the crossing module certifies, and that the mapped pair set equals
-    the directly counted pair set."""
+    source pair through its stored witness, and that the mapped pair set
+    equals the directly counted pair set. Each pair of the direct count was
+    found by the crossing LP and re-checked by CrossingWitness.validate, so
+    the set equality certifies every mapped pair without solving it again."""
     n = config.n
     if math.comb(n, n // 2) > EXHAUSTIVE_BUDGET:
         raise InvalidInputError(
@@ -110,12 +112,7 @@ def check_bijection(config: PointConfig) -> str:
             f"direct crossing count {direct.crossing_pairs}"
         )
     direct_pairs = {w.pair for w in direct.witnesses}
-    mapped = set()
-    for sep in separations:
-        pair = separation_to_crossing(diagram, sep)
-        if simplices_cross(config, pair.left, pair.right) is None:
-            return f"mapped pair {sorted(pair.left)}|{sorted(pair.right)} does not cross"
-        mapped.add(pair)
+    mapped = {separation_to_crossing(diagram, sep) for sep in separations}
     if mapped != direct_pairs:
         return "mapped pair set differs from the directly counted pair set"
     return ""
@@ -142,13 +139,14 @@ def verify_bijection(d: int, n: int, trials: int, seed: int) -> VerificationRepo
 def check_eight_points(config: PointConfig) -> str:
     """One 8-point configuration in R^4: at least four crossing (4,4)-pairs by
     direct count, at least four distinct separations from the four-cut
-    schedule, and every schedule separation mapping to a certified crossing.
+    schedule, and every schedule separation mapping to a pair of the direct
+    count, which the crossing LP already certified.
 
     The direct count touches only the crossing machinery and the schedule only
     the separation machinery, so a failure names the broken side."""
     if config.n != 8 or config.dimension != 4:
         return f"need 8 points in R^4, got {config.n} in R^{config.dimension}"
-    direct = count_crossing_pairs(config, 4, 4)
+    direct = count_crossing_pairs(config, 4, 4, keep_witnesses=True)
     if direct.crossing_pairs < 4:
         return f"direct crossing count {direct.crossing_pairs} < 4"
     diagram = gale_transform(config)
@@ -156,9 +154,9 @@ def check_eight_points(config: PointConfig) -> str:
     separations = trace.separations()
     if len(set(separations)) < 4:
         return f"schedule produced {len(set(separations))} distinct separations < 4"
+    crossing = {w.pair for w in direct.witnesses}
     for sep in separations:
-        pair = separation_to_crossing(diagram, sep)
-        if simplices_cross(config, pair.left, pair.right) is None:
+        if separation_to_crossing(diagram, sep) not in crossing:
             return (
                 f"schedule separation {sorted(sep.side_a)} maps to a "
                 "non-crossing pair"

@@ -169,6 +169,18 @@ def fm_crossing(coords_left, coords_right):
     return t > 0, t
 
 
+def fm_separable(vectors):
+    """Whether some h has <w, h> > 0 for every w in `vectors`, by Gordan's
+    alternative: exactly when the origin is not a convex combination of the
+    vectors. That membership is the Fourier-Motzkin program max t subject to
+    sum_i lambda_i w_i = 0, sum_i lambda_i = 1 and every lambda_i >= t, which
+    reaches t >= 0 iff the origin is in the hull."""
+    rows = [[Fraction(w[k]) for w in vectors] for k in range(len(vectors[0]))]
+    rows.append([Fraction(1)] * len(vectors))
+    status, t = fm_max_min(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)])
+    return not (status == OPTIMAL and t >= 0)
+
+
 def sampled_separations(labeled_vectors, sizes, samples, seed, spread=1000):
     """Proper separations of labeled vectors found by random normal probing.
 

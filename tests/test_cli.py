@@ -120,6 +120,22 @@ def test_separations_default_sizes(tmp_path, capsys, zigzag_square):
     assert payload["separations"][0]["side_a"] == ["p1", "p4"]
 
 
+def test_separations_negative_source_dimension_exit_2(tmp_path, capsys):
+    # m + source_d + 1 = 2 vectors, but no configuration has dimension -2
+    path = tmp_path / "dia.json"
+    path.write_text(json.dumps({
+        "m": 3,
+        "source_d": -2,
+        "vectors": [
+            {"label": "g1", "coords": ["1", "0", "0"]},
+            {"label": "g2", "coords": ["2", "0", "0"]},
+        ],
+    }))
+    code, _, stderr = run(capsys, "separations", "--in", str(path))
+    assert code == 2
+    assert "source_d" in stderr
+
+
 def test_hamsandwich_cut(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     run(capsys, "gen", "--kind", "moment", "--n", "8", "--d", "4", "-o", str(pts))

@@ -94,6 +94,10 @@ def test_diagram_validation():
         GaleDiagram(1, 2, (v, LabeledPoint("g2", (F(1), F(2)))))
     with pytest.raises(InvalidInputError):
         GaleDiagram(2, 2, (v,))
+    pair = (LabeledPoint("g1", (F(1), F(0), F(0))), LabeledPoint("g2", (F(2), F(0), F(0))))
+    with pytest.raises(InvalidInputError, match="source_d"):
+        GaleDiagram(3, -2, pair)  # fewer vectors than the dimension m
+    assert GaleDiagram(1, 0, (v, LabeledPoint("g2", (F(-1),)))).source_d == 0
 
 
 def test_diagram_round_trip(tmp_path):

@@ -2,9 +2,10 @@
 
 Each case runs one `galecross` command in-process with both `--json` and
 `-o FILE` and compares its exit code, its stdout and the written file against
-`tests/golden/<case>.json`. Every input comes from `gen --kind random` at a
-pinned seed, so the corpus pins the whole path from point generation to the
-emitted bytes.
+`tests/golden/<case>.json`. Every input but one comes from `gen --kind random`
+at a pinned seed, so the corpus pins the whole path from point generation to
+the emitted bytes; the exception is a hand-written degenerate point file,
+which no generator emits.
 
 After a deliberate change of output, re-record the corpus with
 
@@ -22,6 +23,15 @@ import pytest
 from galecross.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# six points in the plane whose first affinely dependent triple in label order
+# is p2, p4, p5 (all on the line y = 2x), not the first triple scanned
+DEGENERATE = (
+    '{"dimension":2,"points":['
+    '{"coords":["5","1"],"label":"p1"},{"coords":["0","0"],"label":"p2"},'
+    '{"coords":["-3","2"],"label":"p3"},{"coords":["1","2"],"label":"p4"},'
+    '{"coords":["2","4"],"label":"p5"},{"coords":["4","-3"],"label":"p6"}]}'
+)
 
 
 def _gen(n, d, seed):
@@ -41,6 +51,8 @@ SOURCES = [
 ]
 
 CASES = SOURCES + [
+    ("check-10x6", ["check", "--in", "gen-10x6.json"]),
+    ("check-6x2-degenerate", ["check", "--in", "degenerate-6x2.json"]),
     ("separations-10x6", ["separations", "--in", "gale-10x6.json"]),
     ("separations-9x5-points", ["separations", "--in", "gen-9x5.json"]),
     ("schedule-blocks-10x6", ["schedule", "--kind", "blocks", "--in", "gale-10x6.json"]),
@@ -70,7 +82,7 @@ CASES = SOURCES + [
 ]
 
 # every other case exits 0
-EXIT_CODES = {"verify-planar": 1}
+EXIT_CODES = {"check-6x2-degenerate": 1, "verify-planar": 1}
 
 
 def _run(workdir, argv, outfile):
@@ -88,6 +100,7 @@ def _run(workdir, argv, outfile):
 
 
 def _prepare(workdir):
+    (Path(workdir) / "degenerate-6x2.json").write_text(DEGENERATE)
     for name, argv in SOURCES:
         _run(workdir, argv, f"{name}.json")
 

@@ -10,7 +10,6 @@ from galecross.lp import (
     OPTIMAL,
     UNBOUNDED,
     lp_max_min,
-    max_min_dot,
     simplex_max,
 )
 from oracles import fm_max_min
@@ -98,28 +97,4 @@ def test_lp_max_min_no_constraints_unbounded():
 def test_lp_max_min_shape_errors():
     with pytest.raises(InvalidInputError):
         lp_max_min(Matrix([[1, 2]]), [1, 2])
-    with pytest.raises(InvalidInputError):
-        lp_max_min(Matrix([[1, 2]]), [1], nvars=3)
 
-
-def test_max_min_dot_single_vector():
-    t, h = max_min_dot([(1,)], 1)
-    assert t == 1 and h == (Fraction(1),)
-
-
-def test_max_min_dot_opposed_vectors():
-    t, _ = max_min_dot([(1,), (-1,)], 1)
-    assert t == 0
-
-
-def test_max_min_dot_certifies_separation():
-    rows = [(1, 0), (1, 1), (0, 1)]
-    t, h = max_min_dot(rows, 2)
-    assert t > 0
-    assert all(sum(a * b for a, b in zip(r, h)) >= t for r in rows)
-    assert all(abs(c) <= 1 for c in h)
-
-
-def test_max_min_dot_empty_rejected():
-    with pytest.raises(InvalidInputError):
-        max_min_dot([], 2)

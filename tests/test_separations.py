@@ -25,7 +25,7 @@ from galecross import (
 )
 from galecross.errors import InvalidInputError, SearchIncompleteError
 from galecross.gale import proper_sizes
-from oracles import sampled_separations
+from oracles import fm_separable, sampled_separations
 
 F = Fraction
 
@@ -157,6 +157,51 @@ def test_candidate_scan_is_the_spanning_check(dia):
         emitted.append(cut)
     for sep in emitted:
         assert separation_classifies(dia, sep)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_diagrams())
+def test_is_realizable_matches_gordan_oracle(dia):
+    labels = sorted(dia.labels())
+    for k in range(1, len(labels)):
+        for side in combinations(labels, k):
+            if labels[0] not in side:
+                continue  # each unordered bipartition once
+            rest = [lab for lab in labels if lab not in side]
+            sep = LinearSeparation(frozenset(side), frozenset(rest), (F(1),) * dia.m)
+            signed = [dia.vector(lab) for lab in side]
+            signed += [tuple(-x for x in dia.vector(lab)) for lab in rest]
+            assert is_realizable(dia, sep) == fm_separable(signed)
+
+
+def test_stored_witness_certifies_enumerated_separations():
+    for n, d, seed in [(6, 3, None), (7, 4, None), (7, 3, 81), (8, 4, 82), (9, 5, 83)]:
+        dia = diagram_of(n, d, seed)
+        seps = enumerate_separations(dia, proper_sizes(n))
+        assert seps
+        for sep in seps:
+            separation_to_crossing(dia, sep)  # must not raise
+            flipped = LinearSeparation(
+                sep.side_a,
+                sep.side_b,
+                tuple(-x for x in sep.witness_normal),
+                sep.witness_shifts,
+            )
+            with pytest.raises(InvalidInputError, match="realizable"):
+                separation_to_crossing(dia, flipped)
+
+
+def test_dependent_on_plane_witness_rejected():
+    # g1 and g2 lie on one ray, so no tilt of the normal (0, 1) can push them
+    # to opposite sides, although the normal classifies every other vector
+    dia = hand_diagram(2, 1, [("g1", (1, 0)), ("g2", (2, 0)), ("g3", (0, 1)), ("g4", (0, -1))])
+    sep = LinearSeparation(
+        frozenset({"g1", "g3"}), frozenset({"g2", "g4"}), (F(0), F(1)), (("g1", 1), ("g2", -1))
+    )
+    assert separation_classifies(dia, sep)
+    assert not is_realizable(dia, sep)
+    with pytest.raises(InvalidInputError, match="realizable"):
+        separation_to_crossing(dia, sep)
 
 
 def test_instance_validation():
