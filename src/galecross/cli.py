@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 
 from .configs import (
     PointConfig,
@@ -66,6 +67,13 @@ def _sizes(text: str) -> tuple[int, int]:
         raise InvalidInputError(f"bad sizes {text!r}") from exc
 
 
+def _check_budget(work: int, what: str) -> None:
+    if work > verify_ops.EXHAUSTIVE_BUDGET:
+        raise InvalidInputError(
+            f"budget exceeded: {what} = {work} > {verify_ops.EXHAUSTIVE_BUDGET}"
+        )
+
+
 def _load_any(path: str):
     """Point or diagram file, told apart by their top-level key."""
     obj = load_json(path)
@@ -84,10 +92,17 @@ def _load_config(path: str) -> PointConfig:
 
 
 def _load_diagram(path: str) -> GaleDiagram:
+    """The diagram of a diagram or point file, refused before any scan when
+    its candidate hyperplanes times their on-plane assignments, C(n, m-1) *
+    2^(m-1), exceed the work budget."""
     loaded = _load_any(path)
-    if isinstance(loaded, PointConfig):
-        return gale_transform(loaded)
-    return loaded
+    is_config = isinstance(loaded, PointConfig)
+    n = loaded.n if is_config else loaded.source_n
+    m = n - loaded.dimension - 1 if is_config else loaded.m
+    if m >= 1:
+        work = comb(n, m - 1) * 2 ** (m - 1)
+        _check_budget(work, f"C({n},{m - 1})*2^{m - 1} candidate assignments")
+    return gale_transform(loaded) if is_config else loaded
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
@@ -139,6 +154,10 @@ def _cmd_cross(args) -> tuple[dict, str, int]:
 def _cmd_count(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
     p, q = _sizes(args.sizes)
+    n = config.n
+    if p >= 1 and q >= 1 and p + q <= n:
+        pairs = comb(n, p) * comb(n - p, q) // (2 if p == q else 1)
+        _check_budget(pairs, f"({p},{q})-pairs of {n} points")
     result = count_crossing_pairs(config, p, q, keep_witnesses=args.witnesses)
     summary = (
         f"{result.crossing_pairs} crossing ({p},{q})-pairs "
@@ -324,16 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_repro(argv, exc) -> str:
+def _write_repro(argv, args, exc) -> str:
     bundle = {
         "argv": list(argv),
         "error_kind": type(exc).__name__,
         "error": str(exc),
     }
-    infile = None
-    for flag in ("--in", "--fixed"):
-        if flag in argv:
-            infile = argv[argv.index(flag) + 1]
+    infile = getattr(args, "infile", None) or getattr(args, "fixed", None)
     if infile:
         bundle["input_path"] = infile
         try:
@@ -354,7 +370,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TheoremViolationError, SearchIncompleteError) as exc:
-        path = _write_repro(argv, exc)
+        path = _write_repro(argv, args, exc)
         print(f"invariant breach: {exc}", file=sys.stderr)
         print(f"reproduction bundle written to {path}", file=sys.stderr)
         return 3

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .errors import InvalidInputError, RetryLimitError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import Matrix, ONE, det
-from .rationals import format_vector, parse_vector
+from .linalg import ONE, det
+from .rationals import format_vector, parse_count, parse_vector
 
 DUMMY_LABEL = "dummy"
 RETRY_LIMIT = 1000
@@ -82,7 +82,7 @@ class PointConfig:
     @classmethod
     def from_json_obj(cls, obj) -> "PointConfig":
         try:
-            dimension = int(obj["dimension"])
+            dimension = parse_count(obj["dimension"], "dimension")
             points = tuple(
                 LabeledPoint(str(item["label"]), parse_vector(item["coords"]))
                 for item in obj["points"]
@@ -147,9 +147,9 @@ def random_config(n: int, d: int, seed: int, coord_range: int) -> PointConfig:
 
 
 def _affine_det(config: PointConfig, labels) -> Fraction:
-    """Determinant of the (d+1)x(d+1) coordinates-plus-ones matrix of a subset."""
-    columns = [tuple(config.coords(lab)) + (ONE,) for lab in labels]
-    return det(Matrix.from_columns(columns))
+    """Determinant of the (d+1)x(d+1) matrix with one row per point of the
+    subset: its coordinates, then a one."""
+    return det([config.coords(lab) + (ONE,) for lab in labels])
 
 
 def find_degenerate_subset(config: PointConfig) -> tuple[str, ...] | None:

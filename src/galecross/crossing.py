@@ -17,7 +17,7 @@ from math import comb
 
 from .configs import PointConfig, SimplexPair, find_degenerate_subset
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import Matrix, ONE, ZERO
+from .linalg import ONE, ZERO
 from .lp import OPTIMAL, lp_max_min
 from .rationals import format_vector
 
@@ -112,7 +112,7 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     b.append(ONE)
     rows.append([ZERO] * nl + [ONE] * nr)
     b.append(ONE)
-    res = lp_max_min(Matrix(rows, cols=nl + nr), b)
+    res = lp_max_min(rows, b)
     if res.status != OPTIMAL or res.objective <= 0:
         return None
     lam = res.solution[:nl]

@@ -23,18 +23,18 @@ from .configs import (
 )
 from .errors import InvalidInputError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import Matrix, ONE, ZERO, kernel_basis, rank
+from .linalg import ONE, ZERO, kernel_basis, rank
 from .lp import OPTIMAL, lp_max_min
-from .rationals import format_vector, parse_vector
+from .rationals import format_vector, parse_count, parse_vector
 
 
-def lift_matrix(config: PointConfig) -> Matrix:
-    """The (d+1) x n matrix: coordinate rows, then the all-ones row."""
+def lift_matrix(config: PointConfig) -> list[list[Fraction]]:
+    """The (d+1) x n matrix as rows: coordinate rows, then the all-ones row."""
     rows = [
         [p.coords[k] for p in config.points] for k in range(config.dimension)
     ]
     rows.append([ONE] * config.n)
-    return Matrix(rows, cols=config.n)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class GaleDiagram:
     def from_json_obj(cls, obj) -> "GaleDiagram":
         try:
             return cls(
-                int(obj["m"]),
-                int(obj["source_d"]),
+                parse_count(obj["m"], "m"),
+                parse_count(obj["source_d"], "source_d"),
                 tuple(
                     LabeledPoint(str(item["label"]), parse_vector(item["coords"]))
                     for item in obj["vectors"]
@@ -196,8 +196,7 @@ def verify_spanning(diagram: GaleDiagram) -> bool:
     """True iff every m-subset of diagram vectors has rank m."""
     m = diagram.m
     for subset in combinations(sorted(diagram.labels()), m):
-        mat = Matrix([diagram.vector(lab) for lab in subset], cols=m)
-        if rank(mat) < m:
+        if rank([diagram.vector(lab) for lab in subset]) < m:
             return False
     return True
 
@@ -233,9 +232,9 @@ def is_realizable(diagram: GaleDiagram, separation: LinearSeparation) -> bool:
     lies in the convex hull of the rows of W."""
     rows = [diagram.vector(lab) for lab in sorted(separation.side_a)]
     rows += [_negate(diagram.vector(lab)) for lab in sorted(separation.side_b)]
-    aeq = kernel_basis(Matrix(rows, cols=diagram.m).transpose())
+    aeq = kernel_basis(list(zip(*rows)))
     aeq.append([ONE] * len(rows))
-    res = lp_max_min(Matrix(aeq, cols=len(rows)), [ZERO] * (len(aeq) - 1) + [ONE])
+    res = lp_max_min(aeq, [ZERO] * (len(aeq) - 1) + [ONE])
     return res.status == OPTIMAL and res.objective > 0
 
 
@@ -285,7 +284,6 @@ def separation_to_crossing(diagram: GaleDiagram, separation: LinearSeparation) -
             f"not a proper separation: sizes {separation.sizes()}, expected {sorted(proper)}"
         )
     shifted = [diagram.vector(lab) for lab, _ in separation.witness_shifts]
-    on_plane = Matrix(shifted, cols=diagram.m)
-    if not separation_classifies(diagram, separation) or rank(on_plane) < on_plane.rows:
+    if not separation_classifies(diagram, separation) or rank(shifted) < len(shifted):
         raise InvalidInputError("separation is not strictly realizable by its stored witness")
     return SimplexPair(separation.side_a, separation.side_b)

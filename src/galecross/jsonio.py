@@ -39,5 +39,5 @@ def load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an oversized integer
         raise InvalidInputError(f"not valid JSON: {path}: {exc}") from exc

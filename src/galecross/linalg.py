@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over Fraction: elimination, rank, determinants,
-and canonical null-space bases.
+"""Exact dense linear algebra on rows of rationals: elimination, rank,
+determinants, and canonical null-space bases.
 
-Everything here is deterministic. kernel_basis returns the RREF-derived basis
-(one vector per free column, free columns in ascending order), which downstream
-code treats as *the* canonical basis; semantic assertions elsewhere only ever
-use basis-invariant quantities.
+A matrix is a sequence of equal-length rows, and its width is the length of
+the first row, so a matrix with no rows has no columns. Entries are Fractions
+or ints; every result is exact either way. Everything here is deterministic.
+kernel_basis returns the RREF-derived basis (one vector per free column, free
+columns in ascending order), which downstream code treats as *the* canonical
+basis; semantic assertions elsewhere only ever use basis-invariant quantities.
 """
 
 from __future__ import annotations
@@ -17,94 +19,43 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Matrix:
-    """Immutable-by-convention dense matrix of Fractions, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data, cols: int | None = None):
-        converted = tuple(tuple(Fraction(x) for x in row) for row in data)
-        if converted:
-            width = len(converted[0])
-            if any(len(r) != width for r in converted):
-                raise InvalidInputError("ragged matrix rows")
-            if cols is not None and cols != width:
-                raise InvalidInputError("cols does not match row width")
-        else:
-            width = 0 if cols is None else cols
-        self.rows = len(converted)
-        self.cols = width
-        self.data = converted
-
-    @classmethod
-    def from_columns(cls, columns) -> "Matrix":
-        cols = [tuple(col) for col in columns]
-        if not cols:
-            return cls([], cols=0)
-        return cls(list(zip(*cols)), cols=len(cols))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.data)
-
-    def mul_vec(self, v) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise InvalidInputError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.cols, self.data))
-
-    def __repr__(self):
-        return f"Matrix({[list(map(str, r)) for r in self.data]})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def rref(rows) -> tuple[list[list], tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    a = [list(r) for r in m.data]
+    a = [list(r) for r in rows]
+    height = len(a)
+    width = len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(width):
+        if r == height:
             break
-        pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, height) if a[i][c] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
+        inv = Fraction(a[r][c])
         a[r] = [x / inv for x in a[r]]
-        for i in range(m.rows):
+        for i in range(height):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return Matrix(a, cols=m.cols), tuple(pivots)
+    return a, tuple(pivots)
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
-def det(m: Matrix) -> Fraction:
+def det(rows) -> Fraction:
     """Determinant by Bareiss elimination (division-exact at every step)."""
-    if m.rows != m.cols:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise InvalidInputError("determinant requires a square matrix")
-    n = m.rows
     if n == 0:
         return ONE
-    a = [list(r) for r in m.data]
+    a = [list(r) for r in rows]
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -126,18 +77,19 @@ def det(m: Matrix) -> Fraction:
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
     """Canonical right-null-space basis: one vector per free column of the RREF,
     with unit entry at its free column and zeros at the other free columns."""
-    reduced, pivots = rref(m)
+    reduced, pivots = rref(rows)
+    width = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(width):
         if free in pivot_set:
             continue
-        v = [ZERO] * m.cols
+        v = [ZERO] * width
         v[free] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -reduced.data[i][free]
+            v[p] = -reduced[i][free]
         basis.append(tuple(v))
     return basis

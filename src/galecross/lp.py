@@ -6,10 +6,14 @@ and columns), so clarity beats sparsity.
 
 Public surface:
   simplex_max -- maximize c.x subject to a x = b, x >= 0.
-  lp_max_min  -- maximize t subject to Aeq x = b and x_i >= t (x otherwise
-                 free). The package's one reduction to simplex_max: both the
-                 crossing predicate and the realizability check
-                 gale.is_realizable are stated as lp_max_min programs.
+  lp_max_min  -- lp_max_min(aeq, b): maximize t subject to aeq x = b and
+                 x_i >= t (x otherwise free), where aeq is a sequence of
+                 equal-length rows and has as many rows as b has entries. The
+                 package's one reduction to simplex_max: both the crossing
+                 predicate and the realizability check gale.is_realizable are
+                 stated as lp_max_min programs.
+
+simplex_max converts its input to Fractions, once per LP; ints are accepted.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .linalg import Matrix, ONE, ZERO
+from .linalg import ONE, ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -122,16 +126,18 @@ def simplex_max(c, a, b) -> LpResult:
     return LpResult(OPTIMAL, objective, tuple(x))
 
 
-def lp_max_min(aeq: Matrix, b) -> LpResult:
+def lp_max_min(aeq, b) -> LpResult:
     """Maximize t subject to aeq.x = b and x_i >= t for every i; x free above t.
 
-    Substitutes y_i = x_i - t >= 0 and splits the free t, then solves the
-    standard form exactly. On "optimal" the solution is the original x."""
-    n = aeq.cols
-    if len(b) != aeq.rows:
+    aeq is a sequence of equal-length rows; with no rows there are no
+    variables and t is unbounded. Substitutes y_i = x_i - t >= 0 and splits
+    the free t, then solves the standard form exactly. On "optimal" the
+    solution is the original x."""
+    n = len(aeq[0]) if aeq else 0
+    if len(b) != len(aeq):
         raise InvalidInputError("b length does not match Aeq row count")
-    row_sums = [sum(row, ZERO) for row in aeq.data]
-    a = [list(row) + [s, -s] for row, s in zip(aeq.data, row_sums)]
+    row_sums = [sum(row, ZERO) for row in aeq]
+    a = [list(row) + [s, -s] for row, s in zip(aeq, row_sums)]
     c = [ZERO] * n + [ONE, -ONE]
     res = simplex_max(c, a, b)
     if res.status != OPTIMAL:

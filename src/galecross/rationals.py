@@ -4,7 +4,8 @@ The scalar type itself is fractions.Fraction, which already keeps values in
 canonical form (gcd-reduced, positive denominator). This module pins the
 serialization grammar: optional '-', digits, optionally '/' followed by digits
 for the denominator. "3", "-7/2", "0" are canonical; "+3", "1.5", "3/0" and
-surrounding whitespace are rejected.
+surrounding whitespace are rejected. A vector is a JSON list of such strings,
+and a count in a file header is a JSON integer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,16 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_vector(items) -> tuple[Fraction, ...]:
+    if not isinstance(items, list):
+        raise InvalidInputError(f"not a list of rationals: {items!r}")
     return tuple(parse_rational(x) for x in items)
+
+
+def parse_count(value, name: str) -> int:
+    """A header field that must be a JSON integer: no bool, float or string."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def format_vector(coords) -> list[str]:

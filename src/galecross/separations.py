@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError, SearchIncompleteError
 from .gale import GaleDiagram, LinearSeparation, proper_sizes
-from .linalg import Matrix, kernel_basis
+from .linalg import kernel_basis
 
 ZERO = Fraction(0)
 
@@ -110,8 +110,7 @@ def _oriented_candidates(diagram: GaleDiagram) -> list:
     candidates = []
     for subset in combinations(labels, m - 1):
         if subset:
-            mat = Matrix([diagram.vector(lab) for lab in subset], cols=m)
-            basis = kernel_basis(mat)
+            basis = kernel_basis([diagram.vector(lab) for lab in subset])
             if len(basis) != 1:
                 raise InvalidInputError(
                     f"subset {subset} does not span {m - 1} dimensions; "

@@ -5,7 +5,9 @@ import importlib.util
 from pathlib import Path
 
 import galecross.cli  # the tracer wraps every layer, the CLI included
+import galecross.gale
 import galecross.lp
+from galecross.configs import random_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +31,25 @@ def test_tracer_installs_and_counts_solves():
     assert tracer.calls["lp.simplex_max"] == 1
     assert tracer.pivots > 0
     assert hasattr(galecross.lp, "simplex_max")
+
+
+def test_tracer_counts_linalg_layers():
+    # the benchmark's per-layer linalg metrics read these names; a rename or
+    # a signature change that bypasses them would make the metrics read 0
+    config = random_config(6, 2, 1, 100)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        galecross.gale.gale_transform(config)
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    for name in (
+        "linalg.det",
+        "linalg.rref",
+        "linalg.kernel_basis",
+        "configs.find_degenerate_subset",
+        "gale.gale_transform",
+    ):
+        assert tracer.calls[name] >= 1, name

@@ -1,7 +1,14 @@
+import copy
+import io
 import json
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import galecross.crossing
 from conftest import config_from
@@ -160,7 +167,8 @@ def test_hamsandwich_incomplete_exit_3_with_bundle(tmp_path, capsys, zigzag_squa
     assert bundle["input"]["points"][0]["label"] == "p1"
 
 
-def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, monkeypatch):
+@pytest.mark.parametrize("joined", [False, True], ids=["in-separate", "in-joined"])
+def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, monkeypatch, joined):
     # an "optimal" answer whose weights are not a relative-interior point must
     # surface as a typed invariant breach, never as an AssertionError
     bogus = LpResult(OPTIMAL, Fraction(1), (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
@@ -169,12 +177,15 @@ def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, mo
         simplices_cross(cyclic_square, ["p1", "p3"], ["p2", "p4"])
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, cyclic_square)
-    code, _, stderr = run(capsys, "cross", "--in", path, "--a", "p1,p3", "--b", "p2,p4")
+    infile = [f"--in={path}"] if joined else ["--in", path]
+    code, _, stderr = run(capsys, "cross", *infile, "--a", "p1,p3", "--b", "p2,p4")
     assert code == 3
     assert "THEOREM_VIOLATION" in stderr
     bundle = json.loads((tmp_path / REPRO_BUNDLE).read_text())
     assert bundle["argv"][0] == "cross"
     assert bundle["error_kind"] == "TheoremViolationError"
+    assert bundle["input_path"] == path
+    assert bundle["input"] == cyclic_square.to_json_obj()
 
 
 def test_schedule_eight_from_point_file(tmp_path, capsys):
@@ -268,3 +279,135 @@ def test_diagram_where_points_expected(tmp_path, capsys):
     code, _, stderr = run(capsys, "count", "--in", str(dia), "--sizes", "3,3")
     assert code == 2
     assert "expected a point file" in stderr
+
+
+POINT_FILE = {
+    "dimension": 2,
+    "points": [
+        {"label": "p1", "coords": ["0", "0"]},
+        {"label": "p2", "coords": ["4", "0"]},
+        {"label": "p3", "coords": ["0", "4"]},
+    ],
+}
+DIAGRAM_FILE = {
+    "m": 1,
+    "source_d": 1,
+    "vectors": [
+        {"label": "g1", "coords": ["1"]},
+        {"label": "g2", "coords": ["-2"]},
+        {"label": "g3", "coords": ["1"]},
+    ],
+}
+
+
+def _with(base, **fields):
+    return json.dumps({**base, **fields}).encode()
+
+
+@pytest.mark.parametrize(
+    "command,body",
+    [
+        ("check", _with(POINT_FILE, dimension="abc")),
+        ("check", _with(POINT_FILE, dimension=2.9)),
+        ("check", _with(POINT_FILE, dimension=True)),
+        ("check", _with(POINT_FILE, points=[{"label": "p1", "coords": "12"}])),
+        ("separations", _with(DIAGRAM_FILE, m="x")),
+        ("separations", _with(DIAGRAM_FILE, source_d=1.0)),
+        ("separations", _with(DIAGRAM_FILE, m=False)),
+        ("check", b"\xff\xfe"),
+    ],
+    ids=[
+        "dimension-string",
+        "dimension-float",
+        "dimension-bool",
+        "coords-string",
+        "m-string",
+        "source_d-float",
+        "m-bool",
+        "not-utf8",
+    ],
+)
+def test_malformed_header_exit_2(tmp_path, capsys, command, body):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    code, _, stderr = run(capsys, command, "--in", str(path))
+    assert code == 2
+    assert stderr.startswith("error:")
+
+
+def _replace_field(where, value):
+    obj = copy.deepcopy(POINT_FILE)
+    if where in ("label", "coords"):
+        obj["points"][0][where] = value
+    else:
+        obj[where] = value
+    return obj
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["dimension", "points", "label", "coords"]), JSON_VALUES)
+def test_check_never_raises_on_any_field_value(where, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pts.json"
+        path.write_text(json.dumps(_replace_field(where, value)))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["check", "--in", str(path)])
+    assert code in (0, 1, 2)
+
+
+def _timed(capsys, *argv):
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, *argv)
+    return code, stderr, time.perf_counter() - start
+
+
+def _diagram_file(tmp_path, n, m):
+    vectors = [
+        {"label": f"g{i}", "coords": [str(i**k) for k in range(m)]} for i in range(1, n + 1)
+    ]
+    path = tmp_path / "dia.json"
+    path.write_text(json.dumps({"m": m, "source_d": n - m - 1, "vectors": vectors}))
+    return str(path)
+
+
+def test_count_over_budget_exit_2(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--kind", "moment", "--n", "30", "--d", "2", "-o", str(pts))
+    # C(30,15) * C(15,15) / 2 = 77558760 LPs
+    code, stderr, elapsed = _timed(capsys, "count", "--in", str(pts), "--sizes", "15,15")
+    assert code == 2
+    assert "budget exceeded" in stderr and "77558760" in stderr
+    assert elapsed < 1
+
+
+def test_separations_over_budget_exit_2(tmp_path, capsys):
+    # 20 vectors in R^8: C(20,7) * 2^7 = 9922560 candidate assignments
+    path = _diagram_file(tmp_path, 20, 8)
+    code, stderr, elapsed = _timed(capsys, "separations", "--in", path)
+    assert code == 2
+    assert "budget exceeded" in stderr and "9922560" in stderr
+    assert elapsed < 1
+
+
+def test_schedule_over_budget_exit_2(tmp_path, capsys):
+    # 72 vectors in R^3: C(72,2) * 2^2 = 10224 candidate assignments
+    path = _diagram_file(tmp_path, 72, 3)
+    code, stderr, elapsed = _timed(capsys, "schedule", "--kind", "blocks", "--in", path)
+    assert code == 2
+    assert "budget exceeded" in stderr and "10224" in stderr
+    assert elapsed < 1
