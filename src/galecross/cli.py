@@ -91,10 +91,18 @@ def _load_config(path: str) -> PointConfig:
     return loaded
 
 
+def _check_gp_budget(config: PointConfig) -> None:
+    """Refuse a configuration whose general-position scan, one determinant
+    per (d+1)-subset, would exceed the work budget."""
+    n, k = config.n, config.dimension + 1
+    _check_budget(comb(n, k), f"C({n},{k}) general-position determinants")
+
+
 def _load_diagram(path: str) -> GaleDiagram:
     """The diagram of a diagram or point file, refused before any scan when
     its candidate hyperplanes times their on-plane assignments, C(n, m-1) *
-    2^(m-1), exceed the work budget."""
+    2^(m-1), exceed the work budget, or, for a point file, when its
+    general-position scan does."""
     loaded = _load_any(path)
     is_config = isinstance(loaded, PointConfig)
     n = loaded.n if is_config else loaded.source_n
@@ -102,7 +110,10 @@ def _load_diagram(path: str) -> GaleDiagram:
     if m >= 1:
         work = comb(n, m - 1) * 2 ** (m - 1)
         _check_budget(work, f"C({n},{m - 1})*2^{m - 1} candidate assignments")
-    return gale_transform(loaded) if is_config else loaded
+    if not is_config:
+        return loaded
+    _check_gp_budget(loaded)
+    return gale_transform(loaded)
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
@@ -119,6 +130,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
 
 def _cmd_check(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
+    _check_gp_budget(config)
     found = find_degenerate_subset(config)
     bad = None if found is None else sorted(found)
     gp = bad is None
@@ -136,6 +148,7 @@ def _cmd_check(args) -> tuple[dict, str, int]:
 
 def _cmd_gale(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
+    _check_gp_budget(config)
     diagram = gale_transform(config)
     summary = f"diagram: {diagram.source_n} vectors in R^{diagram.m}"
     return diagram.to_json_obj(), summary, 0
@@ -153,6 +166,7 @@ def _cmd_cross(args) -> tuple[dict, str, int]:
 
 def _cmd_count(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
+    _check_gp_budget(config)
     p, q = _sizes(args.sizes)
     n = config.n
     if p >= 1 and q >= 1 and p + q <= n:

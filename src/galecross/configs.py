@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import InvalidInputError, RetryLimitError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
 from .linalg import ONE, det
-from .rationals import format_vector, parse_count, parse_vector
+from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 DUMMY_LABEL = "dummy"
 RETRY_LIMIT = 1000
@@ -84,7 +84,7 @@ class PointConfig:
         try:
             dimension = parse_count(obj["dimension"], "dimension")
             points = tuple(
-                LabeledPoint(str(item["label"]), parse_vector(item["coords"]))
+                LabeledPoint(parse_label(item["label"]), parse_vector(item["coords"]))
                 for item in obj["points"]
             )
         except (KeyError, TypeError) as exc:

@@ -25,7 +25,7 @@ from .errors import InvalidInputError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
 from .linalg import ONE, ZERO, kernel_basis, rank
 from .lp import OPTIMAL, lp_max_min
-from .rationals import format_vector, parse_count, parse_vector
+from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 
 def lift_matrix(config: PointConfig) -> list[list[Fraction]]:
@@ -86,7 +86,7 @@ class GaleDiagram:
                 parse_count(obj["m"], "m"),
                 parse_count(obj["source_d"], "source_d"),
                 tuple(
-                    LabeledPoint(str(item["label"]), parse_vector(item["coords"]))
+                    LabeledPoint(parse_label(item["label"]), parse_vector(item["coords"]))
                     for item in obj["vectors"]
                 ),
             )

@@ -3,7 +3,9 @@ determinants, and canonical null-space bases.
 
 A matrix is a sequence of equal-length rows, and its width is the length of
 the first row, so a matrix with no rows has no columns. Entries are Fractions
-or ints; every result is exact either way. Everything here is deterministic.
+or ints; every result is exact either way. det clears each row's
+denominators and eliminates fraction-free on Python ints; rref and
+kernel_basis eliminate over Fractions. Everything here is deterministic.
 kernel_basis returns the RREF-derived basis (one vector per free column, free
 columns in ascending order), which downstream code treats as *the* canonical
 basis; semantic assertions elsewhere only ever use basis-invariant quantities.
@@ -12,6 +14,7 @@ basis; semantic assertions elsewhere only ever use basis-invariant quantities.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError
 
@@ -49,15 +52,24 @@ def rank(rows) -> int:
 
 
 def det(rows) -> Fraction:
-    """Determinant by Bareiss elimination (division-exact at every step)."""
+    """Determinant by Bareiss elimination on ints.
+
+    Each row is first multiplied by the lcm of its entries' denominators, so
+    det(rows) is the integer determinant over the product of those scales;
+    every Bareiss quotient on an integer matrix is exact (Bareiss 1968)."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise InvalidInputError("determinant requires a square matrix")
     if n == 0:
         return ONE
-    a = [list(r) for r in rows]
+    a = []
+    scale = 1
+    for row in rows:
+        row_scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scale *= row_scale
     sign = 1
-    prev = ONE
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -71,10 +83,10 @@ def det(rows) -> Fraction:
             row_i = a[i]
             row_k = a[k]
             for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) / prev
-            row_i[k] = ZERO
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i[k] = 0
         prev = pivot
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def kernel_basis(rows) -> list[tuple[Fraction, ...]]:

@@ -1,8 +1,11 @@
-"""Exact linear programming over Fractions.
+"""Exact linear programming on an integer tableau.
 
 A dense two-phase tableau simplex with Bland's rule (guaranteed termination,
 no tolerances anywhere). Problem sizes in this package are tiny (tens of rows
-and columns), so clarity beats sparsity.
+and columns), so clarity beats sparsity. The tableau is fraction-free in the
+style of lrslib (Avis 2000): a matrix of Python ints with one common
+denominator, so the true tableau is tab/den, and each pivot is the
+Edmonds/Jordan integer update.
 
 Public surface:
   simplex_max -- maximize c.x subject to a x = b, x >= 0.
@@ -13,13 +16,16 @@ Public surface:
                  predicate and the realizability check gale.is_realizable are
                  stated as lp_max_min programs.
 
-simplex_max converts its input to Fractions, once per LP; ints are accepted.
+simplex_max converts its input to Fractions, once per LP (ints are
+accepted), clears their denominators, and builds Fractions again only for
+the solution it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError
 from .linalg import ONE, ZERO
@@ -36,70 +42,98 @@ class LpResult:
     solution: tuple[Fraction, ...] | None = None
 
 
-def _optimize(tab, rhs, basis, cost):
-    """Pivot the canonical tableau to optimality for `cost` (maximization).
+def _scaled(values, scale):
+    """Fractions times a common multiple of their denominators, as ints."""
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _optimize(tab, basis, den, cost):
+    """Pivot the integer tableau to optimality for `cost` (maximization).
 
     Bland's rule both for entering (smallest improving column index) and
-    leaving (smallest basic variable among minimum ratios). Returns "optimal"
-    or "unbounded"; mutates tab/rhs/basis in place.
+    leaving (smallest basic variable among minimum ratios). The true tableau
+    is tab/den with den > 0, so the reduced cost cost_j - sum cb_i tab_ij/den
+    has the sign of cost_j*den - sum cb_i tab_ij, and the ratios of the
+    right-hand side (each row's last entry) to positive column entries
+    compare by cross-multiplying. Returns ("optimal" or "unbounded", den);
+    mutates tab/basis in place.
     """
-    m = len(tab)
     n = len(cost)
     while True:
-        cb = [cost[basis[i]] for i in range(m)]
+        priced = [(cost[b], row) for b, row in zip(basis, tab) if cost[b]]
         entering = -1
         for j in range(n):
-            reduced = cost[j] - sum((cb[i] * tab[i][j] for i in range(m)), ZERO)
-            if reduced > 0:
+            if cost[j] * den > sum(cb * row[j] for cb, row in priced):
                 entering = j
                 break
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, den
         leaving = -1
-        best = None
-        for i in range(m):
-            coef = tab[i][entering]
+        for i, row in enumerate(tab):
+            coef = row[entering]
             if coef > 0:
-                ratio = rhs[i] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+                if leaving >= 0:
+                    lead = tab[leaving]
+                    lhs = row[-1] * lead[entering]
+                    rhs = lead[-1] * coef
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                        continue
+                leaving = i
         if leaving < 0:
-            return UNBOUNDED
-        _pivot(tab, rhs, basis, leaving, entering)
+            return UNBOUNDED, den
+        den = _pivot(tab, basis, den, leaving, entering)
 
 
-def _pivot(tab, rhs, basis, i, j):
-    pivot = tab[i][j]
-    tab[i] = [x / pivot for x in tab[i]]
-    rhs[i] = rhs[i] / pivot
-    for k in range(len(tab)):
-        if k != i and tab[k][j] != 0:
-            f = tab[k][j]
-            tab[k] = [x - f * y for x, y in zip(tab[k], tab[i])]
-            rhs[k] = rhs[k] - f * rhs[i]
-    basis[i] = j
+def _pivot(tab, basis, den, r, s):
+    """Exchange basis[r] for column s and return the new common denominator.
+
+    Edmonds/Jordan update: with p = tab[r][s], every other row k becomes
+    (tab[k]*p - tab[k][s]*tab[r]) // den and |p| is the new denominator; a
+    negative pivot first negates its own row, which negates all others too.
+    The division is exact because every entry is then a minor of the scaled
+    input matrix (Edmonds 1967)."""
+    pivot_row = tab[r]
+    p = pivot_row[s]
+    if p < 0:
+        pivot_row = tab[r] = [-x for x in pivot_row]
+        p = -p
+    for k, row in enumerate(tab):
+        if k != r:
+            f = row[s]
+            if f:
+                tab[k] = [(x * p - f * y) // den for x, y in zip(row, pivot_row)]
+            elif p != den:
+                tab[k] = [x * p // den for x in row]
+    basis[r] = s
+    return p
 
 
 def simplex_max(c, a, b) -> LpResult:
-    """Maximize c.x subject to a x = b, x >= 0. Two-phase, exact."""
+    """Maximize c.x subject to a x = b, x >= 0. Two-phase, exact.
+
+    a and b are scaled by one lcm of all their denominators and c by the lcm
+    of its own. Positive scaling keeps every sign and the order of every
+    ratio, so Bland's rule makes the same pivots as on the rational tableau,
+    and the solution is that tableau's, read off as Fractions at the end."""
     m = len(a)
     n = len(c)
     rows = [list(map(Fraction, row)) for row in a]
     rhs = list(map(Fraction, b))
     if len(rhs) != m or any(len(row) != n for row in rows):
         raise InvalidInputError("inconsistent LP dimensions")
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
+    scale = lcm(*(x.denominator for row in rows for x in row), *(x.denominator for x in rhs))
 
-    # phase 1: drive artificial variables (columns n..n+m-1) to zero
-    tab = [rows[i] + [ONE if j == i else ZERO for j in range(m)] for i in range(m)]
+    # phase 1: drive artificial variables (columns n..n+m-1) to zero; each
+    # row is [a_i | unit_i | b_i], a_i and b_i negated together when b_i < 0
+    tab = []
+    for i, (row, v) in enumerate(zip(rows, rhs)):
+        if v < 0:
+            row = [-x for x in row]
+            v = -v
+        tab.append(_scaled(row, scale) + [int(j == i) for j in range(m)] + _scaled((v,), scale))
     basis = list(range(n, n + m))
-    cost1 = [ZERO] * n + [-ONE] * m
-    _optimize(tab, rhs, basis, cost1)
-    if any(basis[i] >= n and rhs[i] != 0 for i in range(m)):
+    _, den = _optimize(tab, basis, 1, [0] * n + [-1] * m)
+    if any(bi >= n and row[-1] != 0 for bi, row in zip(basis, tab)):
         return LpResult(INFEASIBLE)
     redundant = []
     for i in range(m):
@@ -108,20 +142,21 @@ def simplex_max(c, a, b) -> LpResult:
             if j is None:
                 redundant.append(i)
             else:
-                _pivot(tab, rhs, basis, i, j)
+                den = _pivot(tab, basis, den, i, j)
     for i in sorted(redundant, reverse=True):
         del tab[i]
-        del rhs[i]
         del basis[i]
-    tab = [row[:n] for row in tab]
+    tab = [row[:n] + row[-1:] for row in tab]
 
     cost2 = list(map(Fraction, c))
-    status = _optimize(tab, rhs, basis, cost2)
+    status, den = _optimize(
+        tab, basis, den, _scaled(cost2, lcm(*(x.denominator for x in cost2)))
+    )
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
+    for bi, row in zip(basis, tab):
+        x[bi] = Fraction(row[-1], den)
     objective = sum((cost2[j] * x[j] for j in range(n)), ZERO)
     return LpResult(OPTIMAL, objective, tuple(x))
 

@@ -5,7 +5,7 @@ canonical form (gcd-reduced, positive denominator). This module pins the
 serialization grammar: optional '-', digits, optionally '/' followed by digits
 for the denominator. "3", "-7/2", "0" are canonical; "+3", "1.5", "3/0" and
 surrounding whitespace are rejected. A vector is a JSON list of such strings,
-and a count in a file header is a JSON integer.
+a count in a file header is a JSON integer, and a label is a JSON string.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ def parse_count(value, name: str) -> int:
     """A header field that must be a JSON integer: no bool, float or string."""
     if type(value) is not int:
         raise InvalidInputError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def parse_label(value) -> str:
+    """A point or vector label, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"label must be a JSON string, got {value!r}")
     return value
 
 

@@ -4,7 +4,10 @@ Everything here is deliberately written against different algorithms than the
 package: Fourier-Motzkin elimination instead of the simplex method, random
 normal sampling instead of candidate-plane enumeration, orientation predicates
 instead of LP feasibility, and the Pascal recurrence instead of math.comb.
-Slow is fine; these only run in tests on small instances.
+The one exception is fraction_simplex_max, a two-phase tableau simplex with a
+Fraction in every cell: it follows the package's pivot rule in different
+arithmetic, so the package's integer tableau must reach the same results by
+the same pivots. Slow is fine; these only run in tests on small instances.
 """
 
 import random
@@ -247,3 +250,88 @@ def planar_crossing_count(labeled_points):
             if segments_cross(pair[0][1], pair[1][1], other[0][1], other[1][1]):
                 count += 1
     return count
+
+
+def _fraction_optimize(tab, rhs, basis, cost):
+    """Pivot the canonical tableau to optimality for `cost` (maximization),
+    by Bland's rule for entering and leaving; mutates tab/rhs/basis."""
+    m = len(tab)
+    n = len(cost)
+    while True:
+        cb = [cost[basis[i]] for i in range(m)]
+        entering = -1
+        for j in range(n):
+            reduced = cost[j] - sum((cb[i] * tab[i][j] for i in range(m)), Fraction(0))
+            if reduced > 0:
+                entering = j
+                break
+        if entering < 0:
+            return OPTIMAL
+        leaving = -1
+        best = None
+        for i in range(m):
+            coef = tab[i][entering]
+            if coef > 0:
+                ratio = rhs[i] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return UNBOUNDED
+        _fraction_pivot(tab, rhs, basis, leaving, entering)
+
+
+def _fraction_pivot(tab, rhs, basis, i, j):
+    pivot = tab[i][j]
+    tab[i] = [x / pivot for x in tab[i]]
+    rhs[i] = rhs[i] / pivot
+    for k in range(len(tab)):
+        if k != i and tab[k][j] != 0:
+            f = tab[k][j]
+            tab[k] = [x - f * y for x, y in zip(tab[k], tab[i])]
+            rhs[k] = rhs[k] - f * rhs[i]
+    basis[i] = j
+
+
+def fraction_simplex_max(c, a, b):
+    """Maximize c.x subject to a x = b, x >= 0: the two-phase dense tableau
+    simplex with a Fraction in every cell. Returns (status, objective,
+    solution), the last two None unless status is "optimal"."""
+    m = len(a)
+    n = len(c)
+    rows = [list(map(Fraction, row)) for row in a]
+    rhs = list(map(Fraction, b))
+    if len(rhs) != m or any(len(row) != n for row in rows):
+        raise ValueError("inconsistent LP dimensions")
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+
+    # phase 1: drive artificial variables (columns n..n+m-1) to zero
+    tab = [rows[i] + [Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    basis = list(range(n, n + m))
+    _fraction_optimize(tab, rhs, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    if any(basis[i] >= n and rhs[i] != 0 for i in range(m)):
+        return INFEASIBLE, None, None
+    redundant = []
+    for i in range(m):
+        if basis[i] >= n:
+            j = next((jj for jj in range(n) if tab[i][jj] != 0), None)
+            if j is None:
+                redundant.append(i)
+            else:
+                _fraction_pivot(tab, rhs, basis, i, j)
+    for i in sorted(redundant, reverse=True):
+        del tab[i]
+        del rhs[i]
+        del basis[i]
+    tab = [row[:n] for row in tab]
+
+    cost = list(map(Fraction, c))
+    if _fraction_optimize(tab, rhs, basis, cost) == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = rhs[i]
+    return OPTIMAL, sum((cost[j] * x[j] for j in range(n)), Fraction(0)), tuple(x)

@@ -304,6 +304,12 @@ def _with(base, **fields):
     return json.dumps({**base, **fields}).encode()
 
 
+def _relabeled(base, key, label):
+    items = copy.deepcopy(base[key])
+    items[0]["label"] = label
+    return _with(base, **{key: items})
+
+
 @pytest.mark.parametrize(
     "command,body",
     [
@@ -315,6 +321,12 @@ def _with(base, **fields):
         ("separations", _with(DIAGRAM_FILE, source_d=1.0)),
         ("separations", _with(DIAGRAM_FILE, m=False)),
         ("check", b"\xff\xfe"),
+        ("check", _relabeled(POINT_FILE, "points", None)),
+        ("check", _relabeled(POINT_FILE, "points", 7)),
+        ("check", _relabeled(POINT_FILE, "points", {"a": 1})),
+        ("separations", _relabeled(DIAGRAM_FILE, "vectors", None)),
+        ("separations", _relabeled(DIAGRAM_FILE, "vectors", 7)),
+        ("separations", _relabeled(DIAGRAM_FILE, "vectors", {"a": 1})),
     ],
     ids=[
         "dimension-string",
@@ -325,6 +337,12 @@ def _with(base, **fields):
         "source_d-float",
         "m-bool",
         "not-utf8",
+        "label-null",
+        "label-int",
+        "label-object",
+        "vector-label-null",
+        "vector-label-int",
+        "vector-label-object",
     ],
 )
 def test_malformed_header_exit_2(tmp_path, capsys, command, body):
@@ -410,4 +428,34 @@ def test_schedule_over_budget_exit_2(tmp_path, capsys):
     code, stderr, elapsed = _timed(capsys, "schedule", "--kind", "blocks", "--in", path)
     assert code == 2
     assert "budget exceeded" in stderr and "10224" in stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("argv", [("check",), ("gale",), ("count", "--sizes", "1,1")])
+def test_general_position_scan_over_budget_exit_2(tmp_path, capsys, argv):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--kind", "moment", "--n", "30", "--d", "15", "-o", str(pts))
+    # C(30,16) = 145422675 determinants
+    code, stderr, elapsed = _timed(capsys, argv[0], "--in", str(pts), *argv[1:])
+    assert code == 2
+    assert "budget exceeded" in stderr and "145422675" in stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("separations",),
+        ("hamsandwich", "--c1", "p1,p2", "--c2", "p3,p4"),
+        ("schedule", "--kind", "blocks"),
+    ],
+)
+def test_point_file_scan_over_budget_exit_2(tmp_path, capsys, argv):
+    # 45 points in R^41: m = 3, so C(45,2) * 2^2 = 3960 candidate assignments
+    # pass, but the point file needs C(45,42) = 14190 determinants first
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--kind", "moment", "--n", "45", "--d", "41", "-o", str(pts))
+    code, stderr, elapsed = _timed(capsys, argv[0], "--in", str(pts), *argv[1:])
+    assert code == 2
+    assert "budget exceeded" in stderr and "14190" in stderr
     assert elapsed < 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galecross.errors import InvalidInputError
 from galecross.linalg import det, kernel_basis, rank, rref
@@ -72,6 +73,28 @@ def test_det_matches_leibniz():
         for _ in range(15):
             m = random_matrix(rng, size, size)
             assert det(m) == det_by_permutations(m)
+
+
+RATIONALS = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    rows = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # a row that is a rational multiple of another: the determinant is 0
+        k = draw(RATIONALS)
+        rows[-1] = [k * x for x in rows[0]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(square_matrices())
+def test_det_matches_leibniz_on_rationals(rows):
+    value = det(rows)
+    assert type(value) is Fraction
+    assert value == det_by_permutations(rows)
 
 
 def test_det_multiplicative():

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+import galecross.lp
+import oracles
 from galecross.errors import InvalidInputError
 from galecross.lp import (
     INFEASIBLE,
@@ -11,7 +15,7 @@ from galecross.lp import (
     lp_max_min,
     simplex_max,
 )
-from oracles import fm_max_min
+from oracles import fm_max_min, fraction_simplex_max
 
 
 def test_simplex_known_optimum():
@@ -97,3 +101,64 @@ def test_lp_max_min_shape_errors():
     with pytest.raises(InvalidInputError):
         lp_max_min([[1, 2]], [1, 2])
 
+
+RATIONALS = st.integers(-4, 4) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def small_lps(draw):
+    """c, a, b with rational entries and b of either sign; some with a row
+    that is a combination of others (redundant), a row contradicting another
+    (infeasible), or a free zero column with positive cost (unbounded when
+    feasible)."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 4))
+    a = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(m)]
+    # zeros in b make degenerate vertices, where phase 1 can end with an
+    # artificial variable basic at zero that must be pivoted out
+    b = draw(st.lists(st.just(0) | RATIONALS, min_size=m, max_size=m))
+    c = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "redundant", "infeasible", "unbounded"]))
+    i = draw(st.integers(0, m - 1))
+    j = draw(st.integers(0, m - 1))
+    k = draw(RATIONALS)
+    if shape == "redundant":
+        a.append([k * x + y for x, y in zip(a[i], a[j])])
+        b.append(k * b[i] + b[j])
+    elif shape == "infeasible":
+        a.append(list(a[i]))
+        b.append(b[i] + 1)
+    elif shape == "unbounded":
+        a = [row + [0] for row in a]
+        c = c + [1]
+    return c, a, b
+
+
+def _with_pivots(module, name, solve):
+    """solve()'s result and the (row, column) of every pivot it made."""
+    pivots = []
+    pivot = getattr(module, name)
+
+    def spy(*args):
+        pivots.append(args[-2:])
+        return pivot(*args)
+
+    with patch.object(module, name, spy):
+        return solve(), pivots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_lps())
+def test_simplex_matches_fraction_tableau(lp):
+    # same result and, by Bland's rule on a positively scaled tableau, the
+    # very same pivots
+    c, a, b = lp
+    res, pivots = _with_pivots(galecross.lp, "_pivot", lambda: simplex_max(c, a, b))
+    want, want_pivots = _with_pivots(
+        oracles, "_fraction_pivot", lambda: fraction_simplex_max(c, a, b)
+    )
+    event(res.status)
+    assert (res.status, res.objective, res.solution) == want
+    assert pivots == want_pivots
+    if res.status == OPTIMAL:
+        assert all(type(v) is Fraction for v in (res.objective, *res.solution))
