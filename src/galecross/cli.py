@@ -11,6 +11,7 @@ case a reproduction bundle lands in the working directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import comb
 
@@ -228,6 +229,7 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
     seed = args.seed
     if args.fixed:
         config = _load_config(args.fixed)
+        _check_gp_budget(config)
         checks = {
             "bijection": verify_ops.check_bijection,
             "duality": verify_ops.check_duality,
@@ -270,7 +272,10 @@ def _cmd_bound(args) -> tuple[dict, str, int]:
     return report.to_json_obj(), summary, 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared for the life of
+    the process: parse_args reads it without changing it."""
     parser = argparse.ArgumentParser(
         prog="galecross",
         description=(

@@ -10,6 +10,13 @@ rank below m: either an (m-1)-subset is dependent, or a further vector lies on
 its hyperplane. So a spanning diagram has one candidate per (m-1)-subset,
 and each public call scans it once.
 
+The scan runs on integers. Each vector is scaled once by the lcm of its
+denominators, which keeps every sign; a candidate's normal comes from the
+integer (m-1)-minors of its subset, and every other vector's side from an
+integer dot product. Each candidate stores its plus and minus label sets, so
+the cut search and the schedules test bisection by counting labels in them
+and compute no further dot product.
+
 Enumeration rests on a rotation argument: any hyperplane strictly separating
 the vectors can be rotated, without any vector changing sides, until it
 contains m-1 of them. So scanning every candidate and every sign assignment of
@@ -23,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import InvalidInputError, SearchIncompleteError
 from .gale import GaleDiagram, LinearSeparation, proper_sizes
-from .linalg import kernel_basis
-
-ZERO = Fraction(0)
+from .linalg import det
 
 
 @dataclass(frozen=True)
@@ -92,49 +98,66 @@ class ScheduleTrace:
         }
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+def _integral(vector) -> tuple[int, ...]:
+    """The vector times the lcm of its denominators: a positive scale, so every
+    sign of a dot product or a minor is kept."""
+    scale = lcm(*(x.denominator for x in vector))
+    return tuple(x.numerator * (scale // x.denominator) for x in vector)
 
 
 def _oriented_candidates(diagram: GaleDiagram) -> list:
     """All candidate hyperplanes: for each (m-1)-subset of vectors, the normal
     of its span plus the strict classification of the remaining vectors, as
     (on_plane_labels, normal, plus_labels, minus_labels) in lexicographic
-    subset order; for m = 1 the single candidate is the coordinate axis.
+    subset order, with both label sets frozensets; for m = 1 the single
+    candidate is the coordinate axis.
+
+    The normal is the subset's vector of signed (m-1)-minors, integer
+    determinants of the subset's rows scaled to ints, divided by its entry at
+    the free column f of the rows' RREF. The rows' RREF pivots on the first
+    basis of columns, so f is the last column whose minor is nonzero, and the
+    quotient is exactly kernel_basis(rows)[0]. A further vector's side is the
+    sign of its integer dot product with the minors, flipped when minor_f < 0.
 
     The full scan is the spanning check: it raises InvalidInputError when a
-    subset spans fewer than m-1 dimensions or a further vector lies on its
-    hyperplane, which is exactly when some m-subset has rank below m."""
+    subset spans fewer than m-1 dimensions (every minor is zero) or a further
+    vector lies on its hyperplane, which is exactly when some m-subset has
+    rank below m."""
     m = diagram.m
     labels = sorted(diagram.labels())
+    vectors = {v.label: _integral(v.coords) for v in diagram.vectors}
     candidates = []
     for subset in combinations(labels, m - 1):
-        if subset:
-            basis = kernel_basis([diagram.vector(lab) for lab in subset])
-            if len(basis) != 1:
-                raise InvalidInputError(
-                    f"subset {subset} does not span {m - 1} dimensions; "
-                    "diagram violates the spanning precondition"
-                )
-            normal = basis[0]
-        else:
-            normal = (Fraction(1),)
+        rows = [vectors[lab] for lab in subset]
+        # integer rows have an integral determinant
+        minors = [
+            (-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]).numerator
+            for j in range(m)
+        ]
+        free = next((j for j in reversed(range(m)) if minors[j]), None)
+        if free is None:
+            raise InvalidInputError(
+                f"subset {subset} does not span {m - 1} dimensions; "
+                "diagram violates the spanning precondition"
+            )
+        normal = tuple(Fraction(c, minors[free]) for c in minors)
+        flip = minors[free] < 0
         plus = []
         minus = []
         for lab in labels:
             if lab in subset:
                 continue
-            d = _dot(normal, diagram.vector(lab))
-            if d > 0:
-                plus.append(lab)
-            elif d < 0:
-                minus.append(lab)
-            else:
+            d = sum(c * x for c, x in zip(minors, vectors[lab]))
+            if d == 0:
                 raise InvalidInputError(
                     "an extra vector lies on a candidate hyperplane; "
                     "diagram violates the spanning precondition"
                 )
-        candidates.append((subset, normal, tuple(plus), tuple(minus)))
+            if (d > 0) != flip:
+                plus.append(lab)
+            else:
+                minus.append(lab)
+        candidates.append((subset, normal, frozenset(plus), frozenset(minus)))
     return candidates
 
 
@@ -148,25 +171,19 @@ def _assignments(subset):
         )
 
 
-def _materialize(normal, plus, minus, assignment) -> LinearSeparation | None:
-    side_a = set(plus)
-    side_b = set(minus)
-    for lab, sign in assignment:
-        (side_a if sign > 0 else side_b).add(lab)
-    if not side_a or not side_b:
-        return None
-    return LinearSeparation(frozenset(side_a), frozenset(side_b), normal, assignment)
-
-
 def _sized(candidates, sizes):
-    """Separations with part sizes {s1, s2} from each candidate and each sign
-    assignment of its on-plane vectors, in scan order."""
+    """Separations with part sizes {s1, s2} (both positive) from each
+    candidate and each sign assignment of its on-plane vectors, in scan order.
+    The sizes are counted first, so only matching separations are built."""
     wanted = set(sizes)
     for subset, normal, plus, minus in candidates:
+        n = len(subset) + len(plus) + len(minus)
         for assignment in _assignments(subset):
-            sep = _materialize(normal, plus, minus, assignment)
-            if sep is not None and set(sep.sizes()) == wanted:
-                yield sep
+            up = {lab for lab, sign in assignment if sign > 0}
+            a = len(plus) + len(up)
+            if {a, n - a} == wanted:
+                down = set(subset) - up
+                yield LinearSeparation(plus | up, minus | down, normal, assignment)
 
 
 def _enumerated(candidates, sizes) -> list[LinearSeparation]:
@@ -196,35 +213,27 @@ def _partition_key(partition):
     return (tuple(sorted(a)), tuple(sorted(b)))
 
 
-def _bisects(diagram: GaleDiagram, normal, inst: HamSandwichInstance) -> bool:
+def _bisects(candidate, inst: HamSandwichInstance) -> bool:
     """Open-half-space bound: for each color class, each strict side of the
-    hyperplane holds at most floor(|class|/2) of it (on-plane points count
-    toward neither side)."""
+    candidate hyperplane holds at most floor(|class|/2) of it. The sides are
+    the candidate's stored plus and minus sets, so its on-plane labels count
+    toward neither side."""
+    _, _, plus, minus = candidate
     for cls in (inst.c1, inst.c2):
-        if not cls:
-            continue
         bound = len(cls) // 2
-        up = 0
-        down = 0
-        for lab in cls:
-            d = _dot(normal, diagram.vector(lab))
-            if d > 0:
-                up += 1
-            elif d < 0:
-                down += 1
-        if up > bound or down > bound:
+        if len(cls & plus) > bound or len(cls & minus) > bound:
             return False
     return True
 
 
-def _cuts(diagram: GaleDiagram, candidates, inst: HamSandwichInstance, sizes):
+def _cuts(candidates, inst: HamSandwichInstance, sizes):
     """The sized separations of the candidates whose hyperplane bisects both
     color classes, in scan order.
 
     Every enumerated separation's normal is plus or minus a candidate's, and
     the bisection bound ignores the sign, so no enumerated separation outside
     this family bisects."""
-    bisecting = (c for c in candidates if _bisects(diagram, c[1], inst))
+    bisecting = (c for c in candidates if _bisects(c, inst))
     return _sized(bisecting, sizes)
 
 
@@ -239,7 +248,7 @@ def ham_sandwich_cut(diagram: GaleDiagram, inst: HamSandwichInstance, sizes) -> 
     s1, s2 = sizes
     if s1 + s2 != diagram.source_n or s1 < 1 or s2 < 1:
         raise InvalidInputError(f"part sizes {sizes} do not fit the diagram")
-    for sep in _cuts(diagram, _oriented_candidates(diagram), inst, sizes):
+    for sep in _cuts(_oriented_candidates(diagram), inst, sizes):
         return sep
     raise SearchIncompleteError(
         "no bisecting separation with the requested sizes exists in the "
@@ -288,7 +297,6 @@ class _CutPicker:
     last-resort fallback."""
 
     def __init__(self, diagram: GaleDiagram, sizes):
-        self.diagram = diagram
         self.sizes = sizes
         self.candidates = _oriented_candidates(diagram)
         self.seen: list[LinearSeparation] = []
@@ -304,7 +312,7 @@ class _CutPicker:
         predicate available; predicates are tried strongest-first. Falls back
         to any unseen enumerated separation satisfying the weakest predicate,
         then to any unseen separation at all."""
-        cuts = list(_cuts(self.diagram, self.candidates, inst, self.sizes))
+        cuts = list(_cuts(self.candidates, inst, self.sizes))
         for pred in predicates:
             for sep in cuts:
                 if sep not in self.seen and pred(sep):

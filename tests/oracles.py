@@ -4,10 +4,13 @@ Everything here is deliberately written against different algorithms than the
 package: Fourier-Motzkin elimination instead of the simplex method, random
 normal sampling instead of candidate-plane enumeration, orientation predicates
 instead of LP feasibility, and the Pascal recurrence instead of math.comb.
-The one exception is fraction_simplex_max, a two-phase tableau simplex with a
-Fraction in every cell: it follows the package's pivot rule in different
-arithmetic, so the package's integer tableau must reach the same results by
-the same pivots. Slow is fine; these only run in tests on small instances.
+Two oracles follow the package's algorithm in different arithmetic, so the
+package must reach the same results by the same steps. fraction_simplex_max is
+a two-phase tableau simplex with a Fraction in every cell, against the
+package's integer tableau; fraction_candidate_scan finds each candidate
+hyperplane's normal by Fraction Gauss-Jordan elimination and classifies the
+other vectors by Fraction dot products, against the package's integer minors.
+Slow is fine; these only run in tests on small instances.
 """
 
 import random
@@ -214,6 +217,71 @@ def sampled_separations(labeled_vectors, sizes, samples, seed, spread=1000):
         if tuple(sorted((len(plus), len(minus)))) == want:
             found.add(frozenset({frozenset(plus), frozenset(minus)}))
     return found
+
+
+def fraction_kernel_normal(rows, width):
+    """The null vector of `rows` with a 1 at the free column of their reduced
+    row echelon form and 0 at no other free column; None unless exactly one
+    column is free, that is unless the rows have rank width - 1."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        found = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if found is None:
+            continue
+        a[r], a[found] = a[found], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    free = [col for col in range(width) if col not in pivots]
+    if len(free) != 1:
+        return None
+    normal = [Fraction(0)] * width
+    normal[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        normal[col] = -a[r][free[0]]
+    return tuple(normal)
+
+
+def fraction_candidate_scan(labeled_vectors):
+    """Every (m-1)-subset of the labels, in lexicographic order, as
+    (subset, normal, plus, minus): the subset's canonical kernel normal and the
+    frozensets of the other labels whose vectors have a positive or negative
+    Fraction dot product with it. None when some subset has rank below m-1 or
+    some other vector lies on a subset's hyperplane."""
+    vectors = dict(labeled_vectors)
+    labels = sorted(vectors)
+    m = len(labeled_vectors[0][1])
+    scan = []
+    for subset in combinations(labels, m - 1):
+        normal = fraction_kernel_normal([vectors[lab] for lab in subset], m)
+        if normal is None:
+            return None
+        plus, minus = set(), set()
+        for lab in labels:
+            if lab in subset:
+                continue
+            dot = sum(h * Fraction(x) for h, x in zip(normal, vectors[lab]))
+            if dot == 0:
+                return None
+            (plus if dot > 0 else minus).add(lab)
+        scan.append((subset, normal, frozenset(plus), frozenset(minus)))
+    return scan
+
+
+def fraction_bisects(normal, labeled_vectors, classes):
+    """Whether each open side of the hyperplane with this normal holds at most
+    half, rounded down, of each class, counted by Fraction dot products."""
+    vectors = dict(labeled_vectors)
+    for cls in classes:
+        dots = [sum(h * Fraction(x) for h, x in zip(normal, vectors[lab])) for lab in cls]
+        bound = len(cls) // 2
+        if sum(1 for d in dots if d > 0) > bound or sum(1 for d in dots if d < 0) > bound:
+            return False
+    return True
 
 
 def pascal(n, k):

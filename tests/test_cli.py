@@ -1,6 +1,8 @@
 import copy
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import galecross
 import galecross.crossing
 from conftest import config_from
-from galecross import simplices_cross
-from galecross.cli import REPRO_BUNDLE, main
+from galecross import gale_transform, moment_curve_config, simplices_cross
+from galecross.cli import REPRO_BUNDLE, build_parser, main
 from galecross.errors import TheoremViolationError
 from galecross.lp import OPTIMAL, LpResult
 
@@ -388,6 +391,47 @@ def test_check_never_raises_on_any_field_value(where, value):
     assert code in (0, 1, 2)
 
 
+DIAGRAM_8X4 = gale_transform(moment_curve_config(8, 4)).to_json_obj()
+DIAGRAM_COMMANDS = (
+    ("separations",),
+    ("schedule", "--kind", "blocks"),
+    # the classes split every label in halves, so on any spanning diagram a
+    # bisecting candidate leaves at most 4 labels strictly on each side and a
+    # cut with the proper sizes 4,4 exists: the search has no reason to exit 3
+    ("hamsandwich", "--c1", "p1,p2,p3,p4", "--c2", "p5,p6,p7,p8"),
+)
+
+
+def _replace_diagram_field(where, index, value):
+    obj = copy.deepcopy(DIAGRAM_8X4)
+    if where in ("m", "source_d", "vectors"):
+        obj[where] = value
+    elif where == "coord":
+        obj["vectors"][index]["coords"][index % 3] = value
+    else:
+        obj["vectors"][index][where] = value
+    return obj
+
+
+RATIONAL_TEXT = st.fractions(-5, 5, max_denominator=4).map(str)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["m", "source_d", "vectors", "label", "coords", "coord"]),
+    st.integers(0, 7),
+    JSON_VALUES | RATIONAL_TEXT | st.lists(RATIONAL_TEXT, min_size=3, max_size=3),
+)
+def test_diagram_commands_never_raise_on_any_field_value(where, index, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dia.json"
+        path.write_text(json.dumps(_replace_diagram_field(where, index, value)))
+        for command, *options in DIAGRAM_COMMANDS:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, "--in", str(path), *options])
+            assert code in (0, 1, 2), command
+
+
 def _timed(capsys, *argv):
     start = time.perf_counter()
     code, _, stderr = run(capsys, *argv)
@@ -459,3 +503,37 @@ def test_point_file_scan_over_budget_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert "budget exceeded" in stderr and "14190" in stderr
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("what", ["bijection", "duality", "eight", "pipeline", "vkf", "planar"])
+def test_verify_fixed_scan_over_budget_exit_2(tmp_path, capsys, what):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--kind", "moment", "--n", "30", "--d", "15", "-o", str(pts))
+    # C(30,16) = 145422675 determinants, refused before the check runs
+    code, stderr, elapsed = _timed(capsys, "verify", what, "--fixed", str(pts))
+    assert code == 2
+    assert "budget exceeded" in stderr and "145422675" in stderr
+    assert elapsed < 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_parse_error_leaves_shared_parser_intact(capsys):
+    # the failing call sets the subcommand's defaults before --range fails
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "random", "--n", "7", "--d", "2", "--range", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["gen", "--kind", "random", "--n", "7", "--d", "2", "--json"]
+    code, stdout, _ = run(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "galecross", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(galecross.__file__).parents[1])},
+        check=False,
+    )
+    assert (code, stdout) == (fresh.returncode, fresh.stdout)
+    assert json.loads(stdout)["points"]

@@ -25,7 +25,13 @@ from galecross import (
 )
 from galecross.errors import InvalidInputError, SearchIncompleteError
 from galecross.gale import proper_sizes
-from oracles import fm_separable, sampled_separations
+from galecross.separations import _bisects, _oriented_candidates
+from oracles import (
+    fm_separable,
+    fraction_bisects,
+    fraction_candidate_scan,
+    sampled_separations,
+)
 
 F = Fraction
 
@@ -157,6 +163,49 @@ def test_candidate_scan_is_the_spanning_check(dia):
         emitted.append(cut)
     for sep in emitted:
         assert separation_classifies(dia, sep)
+
+
+@st.composite
+def rational_diagrams(draw):
+    """Diagrams with m in 1..4 and rational coordinates, non-integer and
+    negative ones included, labeled in a shuffled order. Small integers keep
+    dependent subsets and on-plane vectors common, so both spanning and
+    non-spanning diagrams occur."""
+    m = draw(st.integers(1, 4))
+    n = m + draw(st.integers(0, 2)) + 1
+    coord = st.integers(-2, 2).map(F) | st.fractions(-3, 3, max_denominator=6)
+    rows = draw(st.lists(st.tuples(*[coord] * m), min_size=n, max_size=n))
+    names = draw(st.permutations([f"g{i + 1}" for i in range(n)]))
+    return hand_diagram(m, n - m - 1, list(zip(names, rows)))
+
+
+def _labeled(dia):
+    return [(v.label, v.coords) for v in dia.vectors]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rational_diagrams())
+def test_integer_scan_matches_fraction_oracle(dia):
+    try:
+        scan = _oriented_candidates(dia)
+    except InvalidInputError:
+        scan = None
+    assert scan == fraction_candidate_scan(_labeled(dia))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rational_diagrams(), st.data())
+def test_stored_signs_bisect_like_dot_products(dia, data):
+    try:
+        candidates = _oriented_candidates(dia)
+    except InvalidInputError:
+        return
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=dia.source_n, max_size=dia.source_n))
+    labels = sorted(dia.labels())
+    classes = [frozenset(lab for lab, c in zip(labels, colors) if c == k) for k in (1, 2)]
+    inst = HamSandwichInstance(dia.m, *classes)
+    for candidate in candidates:
+        assert _bisects(candidate, inst) == fraction_bisects(candidate[1], _labeled(dia), classes)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
