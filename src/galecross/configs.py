@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidInputError, RetryLimitError
@@ -58,6 +59,16 @@ class PointConfig:
             if p.label == label:
                 return p.coords
         raise InvalidInputError(f"unknown label: {label}")
+
+    @cached_property
+    def _degenerate_subset(self) -> tuple[str, ...] | None:
+        """find_degenerate_subset's scan, made once per instance: the
+        configuration is frozen, so its answer never changes."""
+        labels = sorted(self.labels())
+        for subset in combinations(labels, self.dimension + 1):
+            if _affine_det(self, subset) == 0:
+                return subset
+        return None
 
     def subset(self, labels) -> "PointConfig":
         """Restriction to the given labels, preserving the original order."""
@@ -154,13 +165,11 @@ def _affine_det(config: PointConfig, labels) -> Fraction:
 
 def find_degenerate_subset(config: PointConfig) -> tuple[str, ...] | None:
     """First (d+1)-subset, in lexicographic label order, that is affinely
-    dependent; None when the configuration is in general position."""
-    d = config.dimension
-    labels = sorted(config.labels())
-    for subset in combinations(labels, d + 1):
-        if _affine_det(config, subset) == 0:
-            return subset
-    return None
+    dependent; None when the configuration is in general position.
+
+    The C(n, d+1) determinants are computed on the first call for a
+    configuration instance only; later calls return the stored answer."""
+    return config._degenerate_subset
 
 
 def is_general_position(config: PointConfig) -> bool:

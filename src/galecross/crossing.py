@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .configs import PointConfig, SimplexPair, find_degenerate_subset
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import ONE, ZERO
-from .lp import OPTIMAL, lp_max_min
+from .lp import OPTIMAL, _as_ints, lp_max_min
 from .rationals import format_vector
 
 
@@ -34,24 +34,19 @@ class CrossingWitness:
     right_coeffs: tuple[Fraction, ...]
 
     def validate(self, config: PointConfig) -> bool:
-        """Re-check every invariant by direct arithmetic (no LP trust)."""
+        """Re-check every invariant by direct arithmetic (no LP trust):
+        positive coefficients, each side's summing to one, and both sides'
+        combinations equal to the point. The check runs on ints: the
+        coordinates cleared by one scale, the coefficients by one lcm."""
         left = sorted(self.pair.left)
         right = sorted(self.pair.right)
         if len(left) != len(self.left_coeffs) or len(right) != len(self.right_coeffs):
             return False
-        if any(c <= 0 for c in self.left_coeffs) or any(c <= 0 for c in self.right_coeffs):
-            return False
-        if sum(self.left_coeffs) != 1 or sum(self.right_coeffs) != 1:
-            return False
-        d = config.dimension
-        for side, coeffs in ((left, self.left_coeffs), (right, self.right_coeffs)):
-            for k in range(d):
-                combo = sum(
-                    (c * config.coords(lab)[k] for lab, c in zip(side, coeffs)), ZERO
-                )
-                if combo != self.point[k]:
-                    return False
-        return True
+        cols, scale = _as_ints([config.coords(lab) for lab in left + right])
+        point = _certified_point(
+            cols[: len(left)], cols[len(left) :], scale, self.left_coeffs, self.right_coeffs
+        )
+        return point == self.point
 
     def to_json_obj(self) -> dict:
         return {
@@ -60,6 +55,25 @@ class CrossingWitness:
             "left_coeffs": format_vector(self.left_coeffs),
             "right_coeffs": format_vector(self.right_coeffs),
         }
+
+
+def _certified_point(left, right, scale, left_coeffs, right_coeffs):
+    """The common point of the two convex combinations, or None when the
+    coefficients are not a crossing certificate.
+
+    left and right are vertex coordinates times `scale`, as ints. The
+    coefficients are cleared by the lcm `den` of their denominators; they
+    certify a crossing when every cleared coefficient is positive, each side's
+    sum to den, and the two integer combinations of the vertices are equal.
+    The point is that combination over den * scale, one Fraction per
+    coordinate."""
+    (lw, rw), den = _as_ints([left_coeffs, right_coeffs])
+    if min(lw) <= 0 or min(rw) <= 0 or sum(lw) != den or sum(rw) != den:
+        return None
+    combo = [sum(map(mul, lw, coord)) for coord in zip(*left)]
+    if combo != [sum(map(mul, rw, coord)) for coord in zip(*right)]:
+        return None
+    return tuple(Fraction(v, den * scale) for v in combo)
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,13 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
 
     Builds the equality system sum lam_i x_i - sum mu_j x_j = 0, sum lam = 1,
     sum mu = 1 over the concatenated weights and maximizes their minimum; the
-    pair crosses exactly when the optimum is strictly positive."""
+    pair crosses exactly when the optimum is strictly positive. The system
+    goes to the LP in ints: the coordinate rows times one lcm L of the pair's
+    coordinate denominators, and the two weight rows and their right-hand
+    sides times L too, which is the integer tableau simplex_max would build
+    from the rational rows. The LP's weights are then certified on the same
+    ints (_certified_point, as in CrossingWitness.validate), which also gives
+    the witness point."""
     left = sorted(set(left))
     right = sorted(set(right))
     if not left or not right:
@@ -99,38 +119,27 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     shared = set(left) & set(right)
     if shared:
         raise InvalidInputError(f"shared vertex (never a crossing): {sorted(shared)}")
-    lcols = [config.coords(lab) for lab in left]
-    rcols = [config.coords(lab) for lab in right]
-    d = config.dimension
     nl, nr = len(left), len(right)
-    rows = []
-    b = []
-    for k in range(d):
-        rows.append([c[k] for c in lcols] + [-c[k] for c in rcols])
-        b.append(ZERO)
-    rows.append([ONE] * nl + [ZERO] * nr)
-    b.append(ONE)
-    rows.append([ZERO] * nl + [ONE] * nr)
-    b.append(ONE)
-    res = lp_max_min(rows, b)
+    cols, scale = _as_ints([config.coords(lab) for lab in left + right])
+    lcols, rcols = cols[:nl], cols[nl:]
+    rows = [[*lk, *(-x for x in rk)] for lk, rk in zip(zip(*lcols), zip(*rcols))]
+    rows.append([scale] * nl + [0] * nr)
+    rows.append([0] * nl + [scale] * nr)
+    res = lp_max_min(rows, [0] * config.dimension + [scale, scale])
     if res.status != OPTIMAL or res.objective <= 0:
         return None
     lam = res.solution[:nl]
     mu = res.solution[nl:]
-    point = tuple(
-        sum((c * col[k] for c, col in zip(lam, lcols)), ZERO) for k in range(d)
-    )
-    pair = SimplexPair(frozenset(left), frozenset(right))
-    # the pair canonicalizes its sides; keep the coefficients on the right ones
-    if set(pair.left) == set(left):
-        witness = CrossingWitness(pair, point, lam, mu)
-    else:
-        witness = CrossingWitness(pair, point, mu, lam)
-    if not witness.validate(config):
+    point = _certified_point(lcols, rcols, scale, lam, mu)
+    if point is None:
         raise TheoremViolationError(
             "LP produced a witness that failed exact re-validation: THEOREM_VIOLATION"
         )
-    return witness
+    pair = SimplexPair(frozenset(left), frozenset(right))
+    # the pair canonicalizes its sides; keep the coefficients on the right ones
+    if set(pair.left) == set(left):
+        return CrossingWitness(pair, point, lam, mu)
+    return CrossingWitness(pair, point, mu, lam)
 
 
 def count_crossing_pairs(

@@ -16,9 +16,11 @@ Public surface:
                  predicate and the realizability check gale.is_realizable are
                  stated as lp_max_min programs.
 
-simplex_max converts its input to Fractions, once per LP (ints are
-accepted), clears their denominators, and builds Fractions again only for
-the solution it returns.
+simplex_max takes ints and Fractions as they come (anything else is refused
+once per LP), clears the denominators of a Fraction input, and builds
+Fractions only for the objective and the solution it returns. Callers with
+integer data (the crossing predicate) pass ints, so no Fraction is made on
+the way into the tableau.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidInputError
-from .linalg import ONE, ZERO
+from .linalg import ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -42,9 +44,20 @@ class LpResult:
     solution: tuple[Fraction, ...] | None = None
 
 
-def _scaled(values, scale):
-    """Fractions times a common multiple of their denominators, as ints."""
-    return [x.numerator * (scale // x.denominator) for x in values]
+def _as_ints(rows):
+    """Int rows equal to `rows` times the lcm of all their denominators, and
+    that lcm.
+
+    Every entry must be an int or a Fraction; bools, floats, strings and the
+    rest raise InvalidInputError. Rows of ints are returned as they are."""
+    kinds = {type(x) for row in rows for x in row}
+    if not kinds <= {int, Fraction}:
+        names = sorted(kind.__name__ for kind in kinds - {int, Fraction})
+        raise InvalidInputError(f"LP entries must be ints or Fractions, got {', '.join(names)}")
+    if Fraction not in kinds:
+        return rows, 1
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _optimize(tab, basis, den, cost):
@@ -111,26 +124,28 @@ def _pivot(tab, basis, den, r, s):
 def simplex_max(c, a, b) -> LpResult:
     """Maximize c.x subject to a x = b, x >= 0. Two-phase, exact.
 
-    a and b are scaled by one lcm of all their denominators and c by the lcm
-    of its own. Positive scaling keeps every sign and the order of every
-    ratio, so Bland's rule makes the same pivots as on the rational tableau,
-    and the solution is that tableau's, read off as Fractions at the end."""
+    Entries are ints or Fractions. a and b are scaled by one lcm of all their
+    denominators and c by the lcm of its own. Positive scaling keeps every
+    sign and the order of every ratio, so Bland's rule makes the same pivots
+    as on the rational tableau, and the solution is that tableau's, read off
+    as Fractions at the end."""
     m = len(a)
     n = len(c)
-    rows = [list(map(Fraction, row)) for row in a]
-    rhs = list(map(Fraction, b))
-    if len(rhs) != m or any(len(row) != n for row in rows):
+    if len(b) != m or any(len(row) != n for row in a):
         raise InvalidInputError("inconsistent LP dimensions")
-    scale = lcm(*(x.denominator for row in rows for x in row), *(x.denominator for x in rhs))
+    (*rows, rhs), _ = _as_ints([*a, b])
+    (cost,), cost_scale = _as_ints([c])
 
     # phase 1: drive artificial variables (columns n..n+m-1) to zero; each
     # row is [a_i | unit_i | b_i], a_i and b_i negated together when b_i < 0
     tab = []
     for i, (row, v) in enumerate(zip(rows, rhs)):
+        unit = [0] * m
+        unit[i] = 1
         if v < 0:
-            row = [-x for x in row]
-            v = -v
-        tab.append(_scaled(row, scale) + [int(j == i) for j in range(m)] + _scaled((v,), scale))
+            tab.append([-x for x in row] + unit + [-v])
+        else:
+            tab.append([*row, *unit, v])
     basis = list(range(n, n + m))
     _, den = _optimize(tab, basis, 1, [0] * n + [-1] * m)
     if any(bi >= n and row[-1] != 0 for bi, row in zip(basis, tab)):
@@ -148,16 +163,13 @@ def simplex_max(c, a, b) -> LpResult:
         del basis[i]
     tab = [row[:n] + row[-1:] for row in tab]
 
-    cost2 = list(map(Fraction, c))
-    status, den = _optimize(
-        tab, basis, den, _scaled(cost2, lcm(*(x.denominator for x in cost2)))
-    )
+    status, den = _optimize(tab, basis, den, cost)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     x = [ZERO] * n
     for bi, row in zip(basis, tab):
         x[bi] = Fraction(row[-1], den)
-    objective = sum((cost2[j] * x[j] for j in range(n)), ZERO)
+    objective = Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, tab)), den * cost_scale)
     return LpResult(OPTIMAL, objective, tuple(x))
 
 
@@ -171,12 +183,14 @@ def lp_max_min(aeq, b) -> LpResult:
     n = len(aeq[0]) if aeq else 0
     if len(b) != len(aeq):
         raise InvalidInputError("b length does not match Aeq row count")
-    row_sums = [sum(row, ZERO) for row in aeq]
-    a = [list(row) + [s, -s] for row, s in zip(aeq, row_sums)]
-    c = [ZERO] * n + [ONE, -ONE]
-    res = simplex_max(c, a, b)
+    try:
+        row_sums = [sum(row) for row in aeq]
+    except TypeError as exc:
+        raise InvalidInputError(f"LP entries must be ints or Fractions: {exc}") from exc
+    a = [[*row, s, -s] for row, s in zip(aeq, row_sums)]
+    res = simplex_max([0] * n + [1, -1], a, b)
     if res.status != OPTIMAL:
         return res
     t = res.objective
-    x = tuple(res.solution[i] + t for i in range(n))
+    x = tuple(y + t for y in res.solution[:n])
     return LpResult(OPTIMAL, t, x)

@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -14,6 +15,20 @@ def config_from(dimension, rows):
         LabeledPoint(label, tuple(Fraction(c) for c in coords)) for label, coords in rows
     )
     return PointConfig(dimension, points)
+
+
+def with_pivots(module, name, solve):
+    """solve()'s result and the (row, column) of every pivot it made through
+    module.name."""
+    pivots = []
+    pivot = getattr(module, name)
+
+    def spy(*args):
+        pivots.append(args[-2:])
+        return pivot(*args)
+
+    with patch.object(module, name, spy):
+        return solve(), pivots
 
 
 @pytest.fixture

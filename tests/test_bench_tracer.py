@@ -7,7 +7,7 @@ from pathlib import Path
 import galecross.cli  # the tracer wraps every layer, the CLI included
 import galecross.gale
 import galecross.lp
-from galecross.configs import random_config
+from galecross.configs import PointConfig, random_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,7 +36,10 @@ def test_tracer_installs_and_counts_solves():
 def test_tracer_counts_linalg_layers():
     # the benchmark's per-layer linalg metrics read these names; a rename or
     # a signature change that bypasses them would make the metrics read 0
-    config = random_config(6, 2, 1, 100)
+    # a fresh instance of the points: random_config's general-position scan
+    # is stored on the instance it returns, and gale_transform must scan
+    drawn = random_config(6, 2, 1, 100)
+    config = PointConfig(drawn.dimension, drawn.points)
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:

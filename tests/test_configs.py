@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import galecross.configs
 from conftest import config_from
 from galecross import (
     LabeledPoint,
     PointConfig,
     SimplexPair,
+    count_crossing_pairs,
     find_degenerate_subset,
+    gale_transform,
     is_general_position,
     lift_odd,
     moment_curve_config,
@@ -105,6 +109,29 @@ def test_general_position_affine_invariant():
             ],
         )
         assert is_general_position(mapped)
+
+
+def test_general_position_scanned_once_per_config(monkeypatch):
+    # gale_transform and count_crossing_pairs both require general position;
+    # on one configuration instance the C(n, d+1) determinants are made once
+    calls = []
+    det = galecross.configs.det
+
+    def counting_det(rows):
+        calls.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(galecross.configs, "det", counting_det)
+    cfg = moment_curve_config(6, 2)
+    gale_transform(cfg)
+    count_crossing_pairs(cfg, 2, 2)
+    assert find_degenerate_subset(cfg) is None
+    assert len(calls) == comb(6, 3)
+    collinear = config_from(2, [("p1", (0, 0)), ("p2", (1, 1)), ("p3", (2, 2)), ("p4", (5, 0))])
+    calls.clear()
+    for _ in range(3):
+        assert find_degenerate_subset(collinear) == ("p1", "p2", "p3")
+    assert len(calls) == 1
 
 
 def test_lift_odd_shape():

@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from conftest import config_from
+import galecross.lp
+import oracles
+from conftest import config_from, with_pivots
 from galecross import (
+    LabeledPoint,
+    PointConfig,
+    SimplexPair,
     count_crossing_pairs,
     extend_crossing,
     lift_odd,
@@ -14,7 +20,7 @@ from galecross import (
     vkf_find,
 )
 from galecross.errors import InvalidInputError
-from oracles import fm_crossing, pascal, planar_crossing_count
+from oracles import OPTIMAL, fm_crossing, fraction_simplex_max, pascal, planar_crossing_count
 
 F = Fraction
 
@@ -246,3 +252,150 @@ def test_extend_errors():
         extend_crossing(cfg, w, 2)
     with pytest.raises(InvalidInputError):
         extend_crossing(cfg, w, 4)
+
+
+# mixed denominators and signs, so the pair's coordinates share no common
+# denominator and the LP's integer rows are scaled by a nontrivial lcm; the
+# small pool repeats values, which makes degenerate pairs whose optimal
+# weights are not unique
+RATIONAL_COORDS = st.sampled_from(
+    [F(0), F(1), F(-1), F(1, 2), F(-1, 3), F(2, 3), F(-3, 4)]
+) | st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def rational_pairs(draw):
+    """A small configuration with rational coordinates (d in 2..3, n <= 7,
+    general position not required) and two disjoint labeled vertex lists of
+    at most three vertices each."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 7))
+    cfg = config_from(
+        d,
+        [
+            (f"p{i}", draw(st.lists(RATIONAL_COORDS, min_size=d, max_size=d)))
+            for i in range(1, n + 1)
+        ],
+    )
+    labels = draw(st.permutations(cfg.labels()))
+    nl = draw(st.integers(1, min(3, n - 1)))
+    nr = draw(st.integers(1, min(3, n - nl)))
+    return cfg, labels[:nl], labels[nl : nl + nr]
+
+
+def _max_min_weights(lcoords, rcoords):
+    """The crossing max-min program in the standard form of
+    fraction_simplex_max, over rational rows as they are: coordinate rows
+    [x | -y] and the two weight-sum rows, each row's sum and its negation as
+    the split margin t, maximizing t. Returns the optimal margin and the
+    weights w = y + t."""
+    nl, nr = len(lcoords), len(rcoords)
+    rows = [
+        [p[k] for p in lcoords] + [-q[k] for q in rcoords] for k in range(len(lcoords[0]))
+    ]
+    rows.append([1] * nl + [0] * nr)
+    rows.append([0] * nl + [1] * nr)
+    a = [row + [sum(row), -sum(row)] for row in rows]
+    b = [0] * (len(rows) - 2) + [1, 1]
+    status, t, y = fraction_simplex_max([0] * (nl + nr) + [1, -1], a, b)
+    if status != OPTIMAL:
+        return status, None, None
+    return status, t, tuple(v + t for v in y[: nl + nr])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rational_pairs())
+def test_crossing_matches_oracles_on_rational_coords(case):
+    # the verdict is Fourier-Motzkin's; the integer rows (all scaled by one
+    # lcm) make the Fraction tableau's pivots, so a crossing's coefficients
+    # are that tableau's vertex also where the optimal weights are not unique
+    cfg, left, right = case
+    w, pivots = with_pivots(galecross.lp, "_pivot", lambda: simplices_cross(cfg, left, right))
+    left, right = sorted(left), sorted(right)
+    lcoords = [cfg.coords(lab) for lab in left]
+    rcoords = [cfg.coords(lab) for lab in right]
+    verdict, _ = fm_crossing(lcoords, rcoords)
+    event(f"crossing: {verdict}")
+    assert (w is not None) == verdict
+    (status, t, weights), want_pivots = with_pivots(
+        oracles, "_fraction_pivot", lambda: _max_min_weights(lcoords, rcoords)
+    )
+    assert pivots == want_pivots
+    if w is None:
+        return
+    assert status == OPTIMAL and t > 0
+    lam, mu = weights[: len(left)], weights[len(left) :]
+    if w.pair.left != frozenset(left):
+        lam, mu = mu, lam
+    assert (w.left_coeffs, w.right_coeffs) == (lam, mu)
+    assert w.point == tuple(
+        sum(c * x[k] for c, x in zip(lam, map(cfg.coords, sorted(w.pair.left))))
+        for k in range(cfg.dimension)
+    )
+    assert w.validate(cfg)
+
+
+def _mapped(cfg, label_map, coord_map):
+    return PointConfig(
+        cfg.dimension,
+        tuple(LabeledPoint(label_map(p.label), coord_map(p.coords)) for p in cfg.points),
+    )
+
+
+def _pair_set(count, label_map=lambda lab: lab):
+    return {
+        SimplexPair(frozenset(map(label_map, w.pair.left)), frozenset(map(label_map, w.pair.right)))
+        for w in count.witnesses
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_count_invariant_under_relabeling_affine_maps_and_scaling(data):
+    d = data.draw(st.integers(2, 3), label="d")
+    n = data.draw(st.integers(d + 2, 7), label="n")
+    cfg = random_config(n, d, data.draw(st.integers(0, 10**6), label="seed"), 30)
+    # part sizes with p + q >= d + 2: smaller pairs never cross in general
+    # position
+    p = data.draw(st.integers(1, n - 1), label="p")
+    q = data.draw(st.integers(max(1, d + 2 - p), n - p), label="q")
+    base = count_crossing_pairs(cfg, p, q, keep_witnesses=True)
+    event(f"crossing pairs: {base.crossing_pairs}")
+
+    def same_count(mapped, label_map=lambda lab: lab):
+        got = count_crossing_pairs(mapped, p, q, keep_witnesses=True)
+        assert (got.total_pairs_checked, got.crossing_pairs) == (
+            base.total_pairs_checked,
+            base.crossing_pairs,
+        )
+        assert _pair_set(got) == _pair_set(base, label_map)
+
+    # relabeling: new names in a shuffled order
+    names = data.draw(st.permutations([f"q{i}" for i in range(n)]), label="names")
+    relabel = dict(zip(cfg.labels(), names)).__getitem__
+    same_count(_mapped(cfg, relabel, lambda x: x), relabel)
+
+    # an integer affine map with nonzero determinant: a lower unitriangular
+    # matrix times an upper triangular one with a nonzero diagonal, rows in a
+    # drawn order
+    entries = st.integers(-3, 3)
+    diagonal = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    low = [[data.draw(entries) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    up = [
+        [data.draw(diagonal) if i == j else data.draw(entries) if j > i else 0 for j in range(d)]
+        for i in range(d)
+    ]
+    rows = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    m = data.draw(st.permutations(rows), label="matrix")
+    shift = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d), label="shift")
+    same_count(
+        _mapped(
+            cfg,
+            lambda lab: lab,
+            lambda x: tuple(sum(mij * xj for mij, xj in zip(row, x)) + s for row, s in zip(m, shift)),
+        )
+    )
+
+    # every coordinate divided by one positive integer
+    k = data.draw(st.integers(2, 12), label="divisor")
+    same_count(_mapped(cfg, lambda lab: lab, lambda x: tuple(xi / k for xi in x)))

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import galecross.lp
 import oracles
+from conftest import with_pivots
 from galecross.errors import InvalidInputError
 from galecross.lp import (
     INFEASIBLE,
@@ -100,6 +100,24 @@ def test_lp_max_min_no_constraints_unbounded():
 def test_lp_max_min_shape_errors():
     with pytest.raises(InvalidInputError):
         lp_max_min([[1, 2]], [1, 2])
+    with pytest.raises(InvalidInputError):
+        lp_max_min([[1, 2], [3]], [1, 2])
+    # entries are ints or Fractions only, in every place of the program
+    for aeq, b in (
+        ([[0.5, 1.0]], [1]),
+        ([[1, 2]], [0.5]),
+        ([["1/2", 1]], [1]),
+        ([[1, 2]], ["1"]),
+        ([[True, 1]], [1]),
+        ([[1, 2]], [False]),
+        ([[None, 1]], [1]),
+        ([[Fraction(1, 2), 1.5]], [1]),
+    ):
+        with pytest.raises(InvalidInputError, match="ints or Fractions"):
+            lp_max_min(aeq, b)
+    for c in ([1.0, 0], [True, 0], ["1", 0]):
+        with pytest.raises(InvalidInputError, match="ints or Fractions"):
+            simplex_max(c, [[1, 1]], [1])
 
 
 RATIONALS = st.integers(-4, 4) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -134,27 +152,14 @@ def small_lps(draw):
     return c, a, b
 
 
-def _with_pivots(module, name, solve):
-    """solve()'s result and the (row, column) of every pivot it made."""
-    pivots = []
-    pivot = getattr(module, name)
-
-    def spy(*args):
-        pivots.append(args[-2:])
-        return pivot(*args)
-
-    with patch.object(module, name, spy):
-        return solve(), pivots
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_lps())
 def test_simplex_matches_fraction_tableau(lp):
     # same result and, by Bland's rule on a positively scaled tableau, the
     # very same pivots
     c, a, b = lp
-    res, pivots = _with_pivots(galecross.lp, "_pivot", lambda: simplex_max(c, a, b))
-    want, want_pivots = _with_pivots(
+    res, pivots = with_pivots(galecross.lp, "_pivot", lambda: simplex_max(c, a, b))
+    want, want_pivots = with_pivots(
         oracles, "_fraction_pivot", lambda: fraction_simplex_max(c, a, b)
     )
     event(res.status)
