@@ -26,4 +26,7 @@ class TheoremViolationError(GalecrossError):
 
 
 class SearchIncompleteError(GalecrossError):
-    """The finite cut-candidate family and its fallback both failed."""
+    """A search of the candidate family came up empty where no theorem
+    promises a result: a ham sandwich cut for classes that need not cover
+    every label, or for part sizes that need not be proper. Also raised when
+    a schedule's separations are not all distinct."""

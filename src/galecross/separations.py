@@ -23,6 +23,35 @@ contains m-1 of them. So scanning every candidate and every sign assignment of
 its on-plane vectors visits every realizable partition, and the 2^(m-1)
 assignments are all realizable because independent on-plane vectors can be
 pushed to prescribed sides by an arbitrarily small tilt.
+
+The schedules rest on a splitting lemma. Take a spanning diagram of n
+vectors in R^3, a set T of at least 2 labels and the set C of the others.
+Some candidate bisects (T, C): each of its strict sides holds at most
+floor(|T|/2) of T and floor(|C|/2) of C. Some sign assignment of its two
+on-plane vectors gives sizes {floor(n/2), ceil(n/2)} and puts labels of T on
+both sides, and when |T| = |C| = 4 some such assignment splits T 2-2.
+
+Proof. The discrete ham sandwich theorem (Matousek, Using the Borsuk-Ulam
+Theorem, Cor. 3.1.3) bisects T, C and {0} by one plane; no strict side may
+hold the origin, so the plane passes through it. Rotating it about the
+origin until it holds two vectors moves no vector across it, so the strict
+sides only lose vectors and a bisecting candidate results. Its strict sides
+hold p and q vectors with p + q = n - 2 and p, q <= floor(|T|/2) +
+floor(|C|/2) <= floor(n/2).
+- If p = floor(n/2), both bounds are tight, so that side holds
+  floor(|T|/2) >= 1 labels of T, and the rest of T, at least one label, lies
+  on the plane or beyond it. Sending both on-plane vectors across gives sizes
+  floor(n/2), ceil(n/2) and splits T. The case q = floor(n/2) is the same.
+- Otherwise p + q = n - 2 forces p = q = n/2 - 1 with n even, and every
+  assignment sending one on-plane vector to each side is proper. If T lies
+  strictly on both sides, each of them splits T. If T has no label on one
+  strict side, at least ceil(|T|/2) of T lie on the plane; sending one of
+  them to that side leaves the rest of T, at least one label, on the other.
+- For n = 8 and |T| = |C| = 4, p = 4 leaves 2 of T on that side. For
+  p = q = 3: with no vector of T on the plane, T is strictly 2-2; with both,
+  C is strictly 2-2, so T is strictly 1-1 and either assignment spreads it;
+  with one, T is strictly 2 and 1, and sending the on-plane vector of T to
+  the side with 1 of T (and the other across) spreads T 2-2.
 """
 
 from __future__ import annotations
@@ -32,7 +61,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import InvalidInputError, SearchIncompleteError
+from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import GaleDiagram, LinearSeparation, proper_sizes
 from .linalg import det
 
@@ -67,7 +96,7 @@ class ScheduleStep:
     coloring: HamSandwichInstance
     separation: LinearSeparation
     newly_separated_pairs: tuple
-    kind: str = "cut"  # "cut" | "quad" | "fallback"
+    kind: str = "cut"  # "cut" | "quad"
     note: str = ""
 
     def to_json_obj(self) -> dict:
@@ -89,6 +118,7 @@ class ScheduleTrace:
         return [s.separation for s in self.steps]
 
     def fallback_count(self) -> int:
+        # always 0: every schedule step is a lemma-backed "cut" or "quad"
         return sum(1 for s in self.steps if s.kind == "fallback")
 
     def to_json_obj(self) -> dict:
@@ -186,14 +216,6 @@ def _sized(candidates, sizes):
                 yield LinearSeparation(plus | up, minus | down, normal, assignment)
 
 
-def _enumerated(candidates, sizes) -> list[LinearSeparation]:
-    """The sized separations, deduped by partition and sorted."""
-    out = {}
-    for sep in _sized(candidates, sizes):
-        out.setdefault(sep.partition(), sep)
-    return [out[key] for key in sorted(out, key=_partition_key)]
-
-
 def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]:
     """Every partition of the diagram's labels with part sizes {s1, s2} that a
     hyperplane through the origin realizes strictly (after on-plane sign
@@ -205,7 +227,10 @@ def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]
     if s1 < 1 or s2 < 1:
         # a strict hyperplane cannot leave one side empty: the vectors sum to zero
         return []
-    return _enumerated(_oriented_candidates(diagram), sizes)
+    out = {}
+    for sep in _sized(_oriented_candidates(diagram), sizes):
+        out.setdefault(sep.partition(), sep)
+    return [out[key] for key in sorted(out, key=_partition_key)]
 
 
 def _partition_key(partition):
@@ -291,54 +316,27 @@ def _newly_separated(seen, sep):
     return tuple(sorted(out))
 
 
-class _CutPicker:
-    """Shared machinery for schedules: deterministic choice of the next cut
-    from the diagram's one candidate scan, with the enumeration as a
-    last-resort fallback."""
-
-    def __init__(self, diagram: GaleDiagram, sizes):
-        self.sizes = sizes
-        self.candidates = _oriented_candidates(diagram)
-        self.seen: list[LinearSeparation] = []
-        self._enumerated = None
-
-    def enumerated(self):
-        if self._enumerated is None:
-            self._enumerated = _enumerated(self.candidates, self.sizes)
-        return self._enumerated
-
-    def pick(self, inst: HamSandwichInstance, predicates) -> tuple[LinearSeparation, str]:
-        """First candidate cut that is new and satisfies the strongest
-        predicate available; predicates are tried strongest-first. Falls back
-        to any unseen enumerated separation satisfying the weakest predicate,
-        then to any unseen separation at all."""
-        cuts = list(_cuts(self.candidates, inst, self.sizes))
-        for pred in predicates:
-            for sep in cuts:
-                if sep not in self.seen and pred(sep):
-                    return sep, "cut"
-        for pred in predicates:
-            for sep in self.enumerated():
-                if sep not in self.seen and pred(sep):
-                    return sep, "fallback"
-        for sep in self.enumerated():
-            if sep not in self.seen:
-                return sep, "fallback"
-        raise SearchIncompleteError(
-            "schedule exhausted every separation of the diagram: SEARCH_INCOMPLETE"
-        )
-
-    def record(self, sep: LinearSeparation):
-        self.seen.append(sep)
+def _splits(group):
+    """The predicate that a separation puts labels of `group` on both sides."""
+    return lambda sep: bool(group & sep.side_a) and bool(group & sep.side_b)
 
 
-def _splits_pair(pair):
-    x, y = pair
-    return lambda sep: (x in sep.side_a) != (y in sep.side_a)
+def _spreads(quad):
+    """The predicate that a separation divides the four labels of `quad` 2-2."""
+    return lambda sep: len(quad & sep.side_a) == 2
 
 
-def _always(_sep):
-    return True
+def _first_cut(candidates, inst: HamSandwichInstance, sizes, wanted) -> LinearSeparation:
+    """First cut of `inst` in scan order that satisfies `wanted`. Every
+    schedule step asks for a cut that the splitting lemma guarantees, so a
+    miss is a theorem violation."""
+    for sep in _cuts(candidates, inst, sizes):
+        if wanted(sep):
+            return sep
+    raise TheoremViolationError(
+        f"no bisecting cut of {sorted(inst.c1)} against the other labels fits "
+        "the schedule step: THEOREM_VIOLATION (splitting lemma)"
+    )
 
 
 def schedule_eight(diagram: GaleDiagram) -> ScheduleTrace:
@@ -349,75 +347,51 @@ def schedule_eight(diagram: GaleDiagram) -> ScheduleTrace:
     cuts. If some pair still survives all three cuts, cut 4 splits it (case
     ii). Otherwise every pair has been split and there is a 4-subset that every
     previous cut divided 3-1; coloring it forces a 2-2 division, which no
-    earlier separation gives (case i)."""
+    earlier separation gives (case i).
+
+    Each step colors one group against the other labels and takes the first
+    cut that splits the group (the quad step: spreads it 2-2), which no
+    earlier cut did, so the four separations are distinct and the splitting
+    lemma guarantees every step a cut. Cut 2 is also the first cut of its
+    coloring: a bisecting cut of cut 1's sides (A, B) keeps at most 2 of A on
+    each open side, so putting all of A on one side takes both on-plane
+    vectors from A and leaves B split 2-2; no such cut is (A, B) itself."""
     if diagram.m != 3 or diagram.source_n != 8:
         raise InvalidInputError("schedule needs exactly 8 vectors in R^3")
     labels = sorted(diagram.labels())
-    picker = _CutPicker(diagram, proper_sizes(8))
+    all_labels = frozenset(labels)
+    candidates = _oriented_candidates(diagram)
+    seps = []
     steps = []
 
-    def run_step(inst, predicates, kind_note=""):
-        sep, kind = picker.pick(inst, predicates)
-        new_pairs = _newly_separated(picker.seen, sep)
-        if not new_pairs and kind == "cut":
-            # distinct from every prior separation, yet coarser than their
-            # common refinement: flag it, the pair certificate is empty
-            kind = "fallback"
-        picker.record(sep)
-        steps.append(ScheduleStep(inst, sep, new_pairs, kind, kind_note))
+    def run_step(group, wanted, kind="cut", note=""):
+        inst = HamSandwichInstance(diagram.m, group, all_labels - group)
+        sep = _first_cut(candidates, inst, proper_sizes(8), wanted)
+        steps.append(ScheduleStep(inst, sep, _newly_separated(seps, sep), kind, note))
+        seps.append(sep)
         return sep
 
-    all_labels = frozenset(labels)
-    s1 = run_step(
-        HamSandwichInstance(diagram.m, all_labels, frozenset()), [_always]
-    )
-    run_step(
-        HamSandwichInstance(diagram.m, s1.side_a, s1.side_b), [_always]
-    )
+    s1 = run_step(all_labels, _splits(all_labels))
+    run_step(s1.side_a, _splits(s1.side_a))
+    pair3 = frozenset(_within_block_pairs(_blocks(labels, seps))[0])
+    run_step(pair3, _splits(pair3))
 
-    blocks = _blocks(labels, picker.seen)
-    pair3 = _within_block_pairs(blocks)[0]
-    run_step(
-        HamSandwichInstance(diagram.m, frozenset(pair3), all_labels - set(pair3)),
-        [_splits_pair(pair3), _always],
-    )
-
-    blocks = _blocks(labels, picker.seen)
-    surviving = _within_block_pairs(blocks)
+    surviving = _within_block_pairs(_blocks(labels, seps))
     if surviving:
         case = "case_ii"
-        pair4 = surviving[0]
-        run_step(
-            HamSandwichInstance(diagram.m, frozenset(pair4), all_labels - set(pair4)),
-            [_splits_pair(pair4), _always],
-        )
+        pair4 = frozenset(surviving[0])
+        run_step(pair4, _splits(pair4))
     else:
         case = "case_i"
-        quad = _find_lopsided_quad(labels, picker.seen)
+        quad = _find_lopsided_quad(labels, seps)
         if quad is None:
-            # with no predicates the picker takes the first unseen separation
-            run_step(
-                HamSandwichInstance(diagram.m, frozenset(), frozenset()),
-                [],
-                "no 3-1 quad exists; took an unseen separation",
+            # three 4/4 cuts that split every pair give the labels all eight
+            # sign patterns, and 000, 100, 010, 001 form a 3-1 quad
+            raise TheoremViolationError(
+                "three cuts split every pair but leave no 3-1 quad: THEOREM_VIOLATION"
             )
-        else:
-
-            def spreads_quad(sep):
-                inside = sum(1 for lab in quad if lab in sep.side_a)
-                return inside == 2
-
-            inst = HamSandwichInstance(diagram.m, frozenset(quad), all_labels - set(quad))
-            sep, kind = picker.pick(inst, [spreads_quad, _always])
-            new_pairs = _newly_separated(picker.seen, sep)
-            picker.record(sep)
-            if kind == "cut":
-                kind = "quad"
-            steps.append(
-                ScheduleStep(
-                    inst, sep, new_pairs, kind, f"2-2 spread of {{{','.join(quad)}}}"
-                )
-            )
+        group = frozenset(quad)
+        run_step(group, _spreads(group), "quad", f"2-2 spread of {{{','.join(quad)}}}")
 
     trace = ScheduleTrace(tuple(steps), case)
     _assert_distinct(trace)
@@ -450,11 +424,11 @@ def schedule_blocks(diagram: GaleDiagram) -> ScheduleTrace:
 
     Maintains the maximal never-yet-separated blocks. Round 1 colors everything
     alike; every later round recolors the largest surviving block against its
-    complement and takes the first new cut that splits a pair inside it (any
-    block's pair as a fallback). Each emitted separation certifies at least one
-    newly split within-block pair, so the refinement strictly progresses and
-    the trace length is at least ceil(log2(n)) by the time every block is a
-    singleton: k separations can tell at most 2^k labels apart."""
+    complement and takes the first cut that splits a pair inside it, which
+    the splitting lemma guarantees. Each emitted separation certifies at least
+    one newly split within-block pair, so the refinement strictly progresses
+    and the trace length is at least ceil(log2(n)) by the time every block is
+    a singleton: k separations can tell at most 2^k labels apart."""
     if diagram.m != 3 or diagram.source_d < 4:
         raise InvalidInputError("schedule needs d+4 vectors in R^3 with d >= 4")
     if diagram.source_n == 8:
@@ -463,39 +437,18 @@ def schedule_blocks(diagram: GaleDiagram) -> ScheduleTrace:
         return schedule_eight(diagram)
     labels = sorted(diagram.labels())
     all_labels = frozenset(labels)
-    picker = _CutPicker(diagram, proper_sizes(len(labels)))
+    candidates = _oriented_candidates(diagram)
+    seps = []
     steps = []
     while True:
-        blocks = _blocks(labels, picker.seen)
-        big = [b for b in blocks if len(b) >= 2]
+        big = [b for b in _blocks(labels, seps) if len(b) >= 2]
         if not big:
             break
-        target = sorted(big, key=lambda b: (-len(b), min(b)))[0]
+        target = min(big, key=lambda b: (-len(b), min(b)))
         inst = HamSandwichInstance(diagram.m, target, all_labels - target)
-
-        def splits_target(sep, _t=target):
-            return any(
-                (x in sep.side_a) != (y in sep.side_a)
-                for x, y in combinations(sorted(_t), 2)
-            )
-
-        def splits_any_block(sep, _blocks=blocks):
-            return any(
-                (x in sep.side_a) != (y in sep.side_a)
-                for x, y in _within_block_pairs(_blocks)
-            )
-
-        try:
-            sep, kind = picker.pick(inst, [splits_target, splits_any_block])
-        except SearchIncompleteError:
-            break
-        new_pairs = _newly_separated(picker.seen, sep)
-        if not new_pairs:
-            # the unseen separation splits no surviving pair; nothing further
-            # can refine the blocks, stop with what the trace already certifies
-            break
-        picker.record(sep)
-        steps.append(ScheduleStep(inst, sep, new_pairs, kind))
+        sep = _first_cut(candidates, inst, proper_sizes(len(labels)), _splits(target))
+        steps.append(ScheduleStep(inst, sep, _newly_separated(seps, sep)))
+        seps.append(sep)
     trace = ScheduleTrace(tuple(steps))
     _assert_distinct(trace)
     return trace

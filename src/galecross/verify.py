@@ -72,6 +72,8 @@ class BoundReport:
 def _run_trials(check_name: str, trials: int, seed: int, single_trial) -> VerificationReport:
     """single_trial(trial_seed) returns a failure detail string, empty on pass;
     domain errors raised inside a trial count as failures of that trial."""
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
     start = time.monotonic()
     failures = []
     for i in range(trials):
@@ -358,6 +360,8 @@ def fixed_report(check_name: str, config: PointConfig, check) -> VerificationRep
 
 def bound_report(n: int, d: int, cd_lower: int, provenance: str) -> BoundReport:
     """Exact big-integer bound arithmetic: cd_lower x C(n, 2d)."""
+    if d < 1:
+        raise InvalidInputError("need d >= 1")
     if n < 2 * d:
         raise InvalidInputError("need n >= 2d")
     if cd_lower < 0:

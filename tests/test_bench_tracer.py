@@ -7,6 +7,7 @@ from pathlib import Path
 import galecross.cli  # the tracer wraps every layer, the CLI included
 import galecross.gale
 import galecross.lp
+import galecross.separations
 from galecross.configs import PointConfig, random_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -56,3 +57,19 @@ def test_tracer_counts_linalg_layers():
         "gale.gale_transform",
     ):
         assert tracer.calls[name] >= 1, name
+
+
+def test_tracer_counts_schedule_steps_and_fallbacks():
+    # the benchmark reads fallback_count() off every traced schedule; no
+    # schedule step is a fallback, so the ratio it reports stays 0
+    diagram = galecross.gale.gale_transform(random_config(10, 6, 3, 1000))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        galecross.separations.schedule_blocks(diagram)
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert tracer.schedule_steps > 0
+    assert tracer.schedule_fallbacks == 0

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import galecross
 import galecross.crossing
+import galecross.separations
 from conftest import config_from
 from galecross import gale_transform, moment_curve_config, simplices_cross
 from galecross.cli import REPRO_BUNDLE, build_parser, main
@@ -191,6 +192,22 @@ def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, mo
     assert bundle["input"] == cyclic_square.to_json_obj()
 
 
+def test_schedule_miss_exit_3_with_bundle(tmp_path, capsys, monkeypatch):
+    # a schedule step without a cut contradicts the splitting lemma; forcing
+    # one must surface as a typed invariant breach with a repro bundle
+    monkeypatch.setattr(galecross.separations, "_splits", lambda group: lambda sep: False)
+    monkeypatch.chdir(tmp_path)
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--kind", "moment", "--n", "9", "--d", "5", "-o", str(pts))
+    code, stdout, stderr = run(capsys, "schedule", "--kind", "blocks", "--in", str(pts))
+    assert code == 3
+    assert stdout == ""
+    assert "THEOREM_VIOLATION" in stderr
+    bundle = json.loads((tmp_path / REPRO_BUNDLE).read_text())
+    assert bundle["argv"][:2] == ["schedule", "--kind"]
+    assert bundle["error_kind"] == "TheoremViolationError"
+
+
 def test_schedule_eight_from_point_file(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     run(capsys, "gen", "--kind", "moment", "--n", "8", "--d", "4", "-o", str(pts))
@@ -267,6 +284,22 @@ def test_bound_command(capsys):
     code, _, stderr = run(capsys, "bound", "--n", "7", "--d", "4", "--cd-lower", "1",
                           "--provenance", "eight-point")
     assert code == 2
+
+
+def test_bound_nonpositive_d_exit_2(capsys):
+    code, stdout, stderr = run(capsys, "bound", "--n", "9", "--d", "-1", "--cd-lower", "4",
+                               "--provenance", "eight-point")
+    assert code == 2
+    assert stdout == ""
+    assert "d >= 1" in stderr
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_verify_nonpositive_trials_exit_2(capsys, trials):
+    code, stdout, stderr = run(capsys, "verify", "planar", "--n", "6", "--trials", trials, "--json")
+    assert code == 2
+    assert stdout == ""
+    assert "trials" in stderr
 
 
 def test_bad_provenance_rejected_by_parser(capsys):

@@ -1,12 +1,17 @@
+import json
 import random
+import tempfile
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import galecross.configs
 from conftest import config_from
 from galecross import (
+    GaleDiagram,
     LabeledPoint,
     PointConfig,
     SimplexPair,
@@ -19,6 +24,7 @@ from galecross import (
     random_config,
 )
 from galecross.errors import InvalidInputError, RetryLimitError
+from galecross.jsonio import canonical_dumps
 
 
 def test_config_validation():
@@ -168,6 +174,40 @@ def test_save_load_round_trip(tmp_path):
     loaded.save(str(path))
     assert path.read_bytes() == first
     assert first.endswith(b"\n")
+
+
+@st.composite
+def point_and_diagram_files(draw):
+    """A point configuration or a diagram with arbitrary distinct string
+    labels (non-ASCII and empty ones included) and rational coordinates of
+    either sign with arbitrary denominators."""
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(width + 1, width + 5))
+    labels = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    coord = st.fractions(max_denominator=10**6)
+    rows = draw(st.lists(st.tuples(*[coord] * width), min_size=n, max_size=n))
+    points = tuple(LabeledPoint(lab, row) for lab, row in zip(labels, rows))
+    if draw(st.booleans()):
+        return PointConfig(width, points)
+    return GaleDiagram(width, n - width - 1, points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(point_and_diagram_files())
+def test_canonical_json_round_trip(obj):
+    kind = type(obj)
+    text = canonical_dumps(obj.to_json_obj())
+    back = kind.from_json_obj(json.loads(text))
+    assert back == obj
+    assert canonical_dumps(back.to_json_obj()) == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "file.json")
+        obj.save(path)
+        assert Path(path).read_text() == text
+        loaded = kind.load(path)
+    assert loaded == obj
+    if kind is PointConfig:
+        assert back.config_id() == loaded.config_id() == obj.config_id()
 
 
 def test_load_malformed(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from galecross import (
     GaleDiagram,
@@ -25,7 +25,17 @@ from galecross import (
 )
 from galecross.errors import InvalidInputError, SearchIncompleteError
 from galecross.gale import proper_sizes
-from galecross.separations import _bisects, _oriented_candidates
+from galecross.separations import (
+    _bisects,
+    _blocks,
+    _cuts,
+    _find_lopsided_quad,
+    _first_cut,
+    _oriented_candidates,
+    _splits,
+    _spreads,
+    _within_block_pairs,
+)
 from oracles import (
     fm_separable,
     fraction_bisects,
@@ -430,3 +440,110 @@ def test_trace_json_shape():
     step = obj["steps"][0]
     assert set(step) == {"coloring", "separation", "new_pairs", "kind", "note"}
     assert step["coloring"]["c3_origin"] is True
+
+
+@st.composite
+def colored_r3_diagrams(draw, sizes=st.integers(4, 12), group_size=None):
+    """A spanning diagram of n vectors in R^3 with coordinates in [-20, 20]
+    (about nine in ten such diagrams span, even at n = 12), its candidate
+    scan, and a class T of at least 2 of its labels."""
+    n = draw(sizes)
+    vector = st.tuples(*[st.integers(-20, 20)] * 3)
+    rows = draw(st.lists(vector, min_size=n, max_size=n))
+    dia = hand_diagram(3, n - 4, [(f"g{i + 1}", row) for i, row in enumerate(rows)])
+    try:
+        candidates = _oriented_candidates(dia)
+    except InvalidInputError:
+        assume(False)
+    labels = sorted(dia.labels())
+    low, high = group_size or (2, n)
+    group = draw(st.sets(st.sampled_from(labels), min_size=low, max_size=high))
+    return dia, candidates, frozenset(group)
+
+
+def _strict_sides(dia, sep, cls):
+    """How many labels of `cls` lie strictly on each side of the separation's
+    witness hyperplane, recounted by dot products."""
+    dots = [sum(a * b for a, b in zip(sep.witness_normal, dia.vector(lab))) for lab in cls]
+    return sum(1 for x in dots if x > 0), sum(1 for x in dots if x < 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(colored_r3_diagrams())
+def test_splitting_lemma_first_cut(case):
+    # every schedule step asks _first_cut for a cut that splits its colored
+    # class T; the splitting lemma in the separations module says one exists
+    dia, candidates, group = case
+    rest = frozenset(dia.labels()) - group
+    sizes = proper_sizes(dia.source_n)
+    sep = _first_cut(candidates, HamSandwichInstance(3, group, rest), sizes, _splits(group))
+    assert sorted(sep.sizes()) == sorted(sizes)
+    assert group & sep.side_a and group & sep.side_b
+    assert separation_classifies(dia, sep)
+    for cls in (group, rest):
+        up, down = _strict_sides(dia, sep, cls)
+        assert up <= len(cls) // 2 and down <= len(cls) // 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(colored_r3_diagrams(sizes=st.just(8), group_size=(4, 4)))
+def test_splitting_lemma_eight_vectors(case):
+    dia, candidates, quad = case
+    labels = frozenset(dia.labels())
+    # the quad step: a 4-class against the other 4 always has a 2-2 spread
+    inst = HamSandwichInstance(3, quad, labels - quad)
+    sep = _first_cut(candidates, inst, (4, 4), _spreads(quad))
+    assert len(quad & sep.side_a) == 2
+    assert separation_classifies(dia, sep)
+    for cls in (quad, labels - quad):
+        assert max(_strict_sides(dia, sep, cls)) <= 2
+    # cut 2 of schedule_eight: no bisecting cut of a separation's own sides
+    # is that separation
+    for s1 in enumerate_separations(dia, (4, 4)):
+        inst = HamSandwichInstance(3, s1.side_a, s1.side_b)
+        assert s1 not in list(_cuts(candidates, inst, (4, 4)))
+
+
+def _half(labels, side):
+    return LinearSeparation(frozenset(side), frozenset(labels) - frozenset(side), (F(1), F(0), F(0)))
+
+
+def _splits_every_pair(labels, seps):
+    return not _within_block_pairs(_blocks(labels, seps))
+
+
+def test_every_full_splitting_triple_has_a_lopsided_quad():
+    # case i of schedule_eight: three 4/4 cuts that split every pair of 8
+    # labels give them the 8 sign patterns of {0,1}^3, so the labels with
+    # patterns 000, 100, 010, 001 are split 3-1 by each cut
+    labels = [str(i) for i in range(1, 9)]
+    halves = [_half(labels, side) for side in combinations(labels, 4) if "1" in side]
+    assert len(halves) == 35
+    full = [t for t in combinations(halves, 3) if _splits_every_pair(labels, t)]
+    assert len(full) == 840  # 8! labelings / (2^3 side flips * 3! cut orders)
+    for triple in full:
+        quad = _find_lopsided_quad(labels, triple)
+        assert quad is not None
+        for sep in triple:
+            assert len(set(quad) & sep.side_a) in (1, 3)
+
+
+def test_quad_step_spreads_the_quad_on_real_diagrams():
+    # no diagram has been seen to reach case i, so the quad step runs here on
+    # triples of enumerated separations that together split every pair
+    checked = 0
+    for seed in range(1100, 1110):
+        dia = diagram_of(8, 4, seed=seed)
+        labels = sorted(dia.labels())
+        candidates = _oriented_candidates(dia)
+        seps = enumerate_separations(dia, (4, 4))
+        full = [t for t in combinations(seps, 3) if _splits_every_pair(labels, t)]
+        assert full
+        for triple in full:
+            quad = frozenset(_find_lopsided_quad(labels, triple))
+            inst = HamSandwichInstance(3, quad, frozenset(labels) - quad)
+            sep = _first_cut(candidates, inst, (4, 4), _spreads(quad))
+            assert len(quad & sep.side_a) == 2
+            assert sep not in triple
+            checked += 1
+    assert checked == 94
