@@ -92,11 +92,11 @@ def _load_config(path: str) -> PointConfig:
     return loaded
 
 
-def _check_gp_budget(config: PointConfig) -> None:
-    """Refuse a configuration whose general-position scan, one determinant
+def _check_gp_budget(n: int, d: int) -> None:
+    """Refuse n points in R^d whose general-position scan, one determinant
     per (d+1)-subset, would exceed the work budget."""
-    n, k = config.n, config.dimension + 1
-    _check_budget(comb(n, k), f"C({n},{k}) general-position determinants")
+    if min(n, d) >= 0:  # negative sizes are refused where they are used
+        _check_budget(comb(n, d + 1), f"C({n},{d + 1}) general-position determinants")
 
 
 def _load_diagram(path: str) -> GaleDiagram:
@@ -113,7 +113,7 @@ def _load_diagram(path: str) -> GaleDiagram:
         _check_budget(work, f"C({n},{m - 1})*2^{m - 1} candidate assignments")
     if not is_config:
         return loaded
-    _check_gp_budget(loaded)
+    _check_gp_budget(loaded.n, loaded.dimension)
     return gale_transform(loaded)
 
 
@@ -121,6 +121,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
     if args.kind == "moment":
         config = moment_curve_config(args.n, args.d)
     else:
+        _check_gp_budget(args.n, args.d)
         config = random_config(args.n, args.d, args.seed, args.coord_range)
     summary = (
         f"{args.kind} configuration {config.config_id()}: "
@@ -131,7 +132,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
 
 def _cmd_check(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    _check_gp_budget(config)
+    _check_gp_budget(config.n, config.dimension)
     found = find_degenerate_subset(config)
     bad = None if found is None else sorted(found)
     gp = bad is None
@@ -149,7 +150,7 @@ def _cmd_check(args) -> tuple[dict, str, int]:
 
 def _cmd_gale(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    _check_gp_budget(config)
+    _check_gp_budget(config.n, config.dimension)
     diagram = gale_transform(config)
     summary = f"diagram: {diagram.source_n} vectors in R^{diagram.m}"
     return diagram.to_json_obj(), summary, 0
@@ -167,7 +168,7 @@ def _cmd_cross(args) -> tuple[dict, str, int]:
 
 def _cmd_count(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    _check_gp_budget(config)
+    _check_gp_budget(config.n, config.dimension)
     p, q = _sizes(args.sizes)
     n = config.n
     if p >= 1 and q >= 1 and p + q <= n:
@@ -229,7 +230,7 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
     seed = args.seed
     if args.fixed:
         config = _load_config(args.fixed)
-        _check_gp_budget(config)
+        _check_gp_budget(config.n, config.dimension)
         checks = {
             "bijection": verify_ops.check_bijection,
             "duality": verify_ops.check_duality,
@@ -244,6 +245,8 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
         report = verify_ops.verify_bijection(args.d, args.n, trials, seed)
     elif args.what == "duality":
         _require(args, ("d", "n"))
+        # the spanning side checks C(n, m) = C(n, d + 1) subsets, m = n - d - 1
+        _check_gp_budget(args.n, args.d)
         report = verify_ops.verify_position_duality(args.d, args.n, trials, seed)
     elif args.what == "eight":
         report = verify_ops.verify_eight_points(trials, seed)

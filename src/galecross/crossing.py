@@ -18,7 +18,8 @@ from operator import mul
 
 from .configs import PointConfig, SimplexPair, find_degenerate_subset
 from .errors import InvalidInputError, TheoremViolationError
-from .lp import OPTIMAL, _as_ints, lp_max_min
+from .linalg import clear_denominators
+from .lp import OPTIMAL, lp_max_min
 from .rationals import format_vector
 
 
@@ -42,7 +43,7 @@ class CrossingWitness:
         right = sorted(self.pair.right)
         if len(left) != len(self.left_coeffs) or len(right) != len(self.right_coeffs):
             return False
-        cols, scale = _as_ints([config.coords(lab) for lab in left + right])
+        cols, scale = clear_denominators([config.coords(lab) for lab in left + right])
         point = _certified_point(
             cols[: len(left)], cols[len(left) :], scale, self.left_coeffs, self.right_coeffs
         )
@@ -67,7 +68,7 @@ def _certified_point(left, right, scale, left_coeffs, right_coeffs):
     sum to den, and the two integer combinations of the vertices are equal.
     The point is that combination over den * scale, one Fraction per
     coordinate."""
-    (lw, rw), den = _as_ints([left_coeffs, right_coeffs])
+    (lw, rw), den = clear_denominators([left_coeffs, right_coeffs])
     if min(lw) <= 0 or min(rw) <= 0 or sum(lw) != den or sum(rw) != den:
         return None
     combo = [sum(map(mul, lw, coord)) for coord in zip(*left)]
@@ -120,7 +121,7 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     if shared:
         raise InvalidInputError(f"shared vertex (never a crossing): {sorted(shared)}")
     nl, nr = len(left), len(right)
-    cols, scale = _as_ints([config.coords(lab) for lab in left + right])
+    cols, scale = clear_denominators([config.coords(lab) for lab in left + right])
     lcols, rcols = cols[:nl], cols[nl:]
     rows = [[*lk, *(-x for x in rk)] for lk, rk in zip(zip(*lcols), zip(*rcols))]
     rows.append([scale] * nl + [0] * nr)

@@ -39,5 +39,6 @@ def load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an oversized integer
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bad UTF-8, an oversized integer, or nesting too deep to parse
         raise InvalidInputError(f"not valid JSON: {path}: {exc}") from exc

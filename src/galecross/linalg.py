@@ -1,11 +1,11 @@
-"""Exact dense linear algebra on rows of rationals: elimination, rank,
-determinants, and canonical null-space bases.
+"""Exact dense linear algebra on rows of rationals: denominator clearing,
+elimination, rank, determinants, and canonical null-space bases.
 
 A matrix is a sequence of equal-length rows, and its width is the length of
 the first row, so a matrix with no rows has no columns. Entries are Fractions
-or ints; every result is exact either way. det clears each row's
-denominators and eliminates fraction-free on Python ints; rref and
-kernel_basis eliminate over Fractions. Everything here is deterministic.
+or ints; every result is exact either way. clear_denominators is the one rule
+that turns rational rows into int rows; det and rref clear once and then
+eliminate fraction-free on Python ints. Everything here is deterministic.
 kernel_basis returns the RREF-derived basis (one vector per free column, free
 columns in ascending order), which downstream code treats as *the* canonical
 basis; semantic assertions elsewhere only ever use basis-invariant quantities.
@@ -22,29 +22,55 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows) -> tuple[list[list], tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    a = [list(r) for r in rows]
+def clear_denominators(rows):
+    """Int rows equal to `rows` times the lcm of all their denominators, and
+    that lcm.
+
+    Every entry must be an int or a Fraction; bools, floats, strings and the
+    rest raise InvalidInputError. Rows of ints are returned as they are."""
+    kinds = {type(x) for row in rows for x in row}
+    if not kinds <= {int, Fraction}:
+        names = sorted(kind.__name__ for kind in kinds - {int, Fraction})
+        raise InvalidInputError(f"entries must be ints or Fractions, got {', '.join(names)}")
+    if Fraction not in kinds:
+        return rows, 1
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def rref(rows) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination: (int_rows, pivots, den), where
+    int_rows/den is the reduced row echelon form of `rows` and pivots are its
+    pivot columns. The rows are cleared of denominators once; then each pivot
+    p makes every other row (row*p - f*pivot_row) // den and p the new den
+    (Edmonds/Jordan), exact because every entry is a minor of the cleared rows
+    (Edmonds 1967). den may be negative."""
+    ints, _ = clear_denominators(rows)
+    a = [list(row) for row in ints]
     height = len(a)
     width = len(a[0]) if a else 0
     pivots: list[int] = []
-    r = 0
+    den = 1
     for c in range(width):
+        r = len(pivots)
         if r == height:
             break
         pivot_row = next((i for i in range(r, height) if a[i][c] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(a[r][c])
-        a[r] = [x / inv for x in a[r]]
-        for i in range(height):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        lead = a[r]
+        p = lead[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                if f:
+                    a[i] = [(x * p - f * y) // den for x, y in zip(row, lead)]
+                elif p != den:
+                    a[i] = [x * p // den for x in row]
         pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+        den = p
+    return a, tuple(pivots), den
 
 
 def rank(rows) -> int:
@@ -54,20 +80,16 @@ def rank(rows) -> int:
 def det(rows) -> Fraction:
     """Determinant by Bareiss elimination on ints.
 
-    Each row is first multiplied by the lcm of its entries' denominators, so
-    det(rows) is the integer determinant over the product of those scales;
-    every Bareiss quotient on an integer matrix is exact (Bareiss 1968)."""
+    The rows are cleared of denominators by one scale s, so det(rows) is the
+    integer determinant over s**n; every Bareiss quotient on an integer
+    matrix is exact (Bareiss 1968)."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise InvalidInputError("determinant requires a square matrix")
     if n == 0:
         return ONE
-    a = []
-    scale = 1
-    for row in rows:
-        row_scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (row_scale // x.denominator) for x in row])
-        scale *= row_scale
+    ints, scale = clear_denominators(rows)
+    a = [list(row) for row in ints]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -86,13 +108,13 @@ def det(rows) -> Fraction:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(sign * a[n - 1][n - 1], scale**n)
 
 
 def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
     """Canonical right-null-space basis: one vector per free column of the RREF,
     with unit entry at its free column and zeros at the other free columns."""
-    reduced, pivots = rref(rows)
+    reduced, pivots, den = rref(rows)
     width = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
     basis = []
@@ -102,6 +124,6 @@ def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
         v = [ZERO] * width
         v[free] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -reduced[i][free]
+            v[p] = Fraction(-reduced[i][free], den)
         basis.append(tuple(v))
     return basis

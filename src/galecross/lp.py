@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidInputError
-from .linalg import ZERO
+from .linalg import ZERO, clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -42,22 +41,6 @@ class LpResult:
     status: str
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
-
-
-def _as_ints(rows):
-    """Int rows equal to `rows` times the lcm of all their denominators, and
-    that lcm.
-
-    Every entry must be an int or a Fraction; bools, floats, strings and the
-    rest raise InvalidInputError. Rows of ints are returned as they are."""
-    kinds = {type(x) for row in rows for x in row}
-    if not kinds <= {int, Fraction}:
-        names = sorted(kind.__name__ for kind in kinds - {int, Fraction})
-        raise InvalidInputError(f"LP entries must be ints or Fractions, got {', '.join(names)}")
-    if Fraction not in kinds:
-        return rows, 1
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _optimize(tab, basis, den, cost):
@@ -133,8 +116,8 @@ def simplex_max(c, a, b) -> LpResult:
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a):
         raise InvalidInputError("inconsistent LP dimensions")
-    (*rows, rhs), _ = _as_ints([*a, b])
-    (cost,), cost_scale = _as_ints([c])
+    (*rows, rhs), _ = clear_denominators([*a, b])
+    (cost,), cost_scale = clear_denominators([c])
 
     # phase 1: drive artificial variables (columns n..n+m-1) to zero; each
     # row is [a_i | unit_i | b_i], a_i and b_i negated together when b_i < 0

@@ -10,10 +10,10 @@ rank below m: either an (m-1)-subset is dependent, or a further vector lies on
 its hyperplane. So a spanning diagram has one candidate per (m-1)-subset,
 and each public call scans it once.
 
-The scan runs on integers. Each vector is scaled once by the lcm of its
+The scan runs on integers. The vectors are scaled once by the lcm of their
 denominators, which keeps every sign; a candidate's normal comes from the
-integer (m-1)-minors of its subset, and every other vector's side from an
-integer dot product. Each candidate stores its plus and minus label sets, so
+integer rref of its subset, and every other vector's side from an integer
+dot product. Each candidate stores its plus and minus label sets, so
 the cut search and the schedules test bisection by counting labels in them
 and compute no further dot product.
 
@@ -59,11 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import GaleDiagram, LinearSeparation, proper_sizes
-from .linalg import det
+from .linalg import clear_denominators, rref
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,6 @@ class ScheduleTrace:
         }
 
 
-def _integral(vector) -> tuple[int, ...]:
-    """The vector times the lcm of its denominators: a positive scale, so every
-    sign of a dot product or a minor is kept."""
-    scale = lcm(*(x.denominator for x in vector))
-    return tuple(x.numerator * (scale // x.denominator) for x in vector)
-
-
 def _oriented_candidates(diagram: GaleDiagram) -> list:
     """All candidate hyperplanes: for each (m-1)-subset of vectors, the normal
     of its span plus the strict classification of the remaining vectors, as
@@ -142,42 +134,40 @@ def _oriented_candidates(diagram: GaleDiagram) -> list:
     subset order, with both label sets frozensets; for m = 1 the single
     candidate is the coordinate axis.
 
-    The normal is the subset's vector of signed (m-1)-minors, integer
-    determinants of the subset's rows scaled to ints, divided by its entry at
-    the free column f of the rows' RREF. The rows' RREF pivots on the first
-    basis of columns, so f is the last column whose minor is nonzero, and the
-    quotient is exactly kernel_basis(rows)[0]. A further vector's side is the
-    sign of its integer dot product with the minors, flipped when minor_f < 0.
+    The normal is kernel_basis(rows)[0] of the subset's rows, w/den for the
+    integer w with den at the free column and -row_i[free] at the i-th pivot
+    of their rref. A further vector's side is the sign of its integer dot
+    product with w, flipped when den < 0.
 
     The full scan is the spanning check: it raises InvalidInputError when a
-    subset spans fewer than m-1 dimensions (every minor is zero) or a further
-    vector lies on its hyperplane, which is exactly when some m-subset has
-    rank below m."""
+    subset spans fewer than m-1 dimensions (fewer than m-1 pivots) or a
+    further vector lies on its hyperplane, which is exactly when some m-subset
+    has rank below m."""
     m = diagram.m
     labels = sorted(diagram.labels())
-    vectors = {v.label: _integral(v.coords) for v in diagram.vectors}
+    ints, _ = clear_denominators([v.coords for v in diagram.vectors])
+    vectors = {v.label: row for v, row in zip(diagram.vectors, ints)}
     candidates = []
     for subset in combinations(labels, m - 1):
-        rows = [vectors[lab] for lab in subset]
-        # integer rows have an integral determinant
-        minors = [
-            (-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]).numerator
-            for j in range(m)
-        ]
-        free = next((j for j in reversed(range(m)) if minors[j]), None)
-        if free is None:
+        reduced, pivots, den = rref([vectors[lab] for lab in subset])
+        if len(pivots) < m - 1:
             raise InvalidInputError(
                 f"subset {subset} does not span {m - 1} dimensions; "
                 "diagram violates the spanning precondition"
             )
-        normal = tuple(Fraction(c, minors[free]) for c in minors)
-        flip = minors[free] < 0
+        free = next(j for j in range(m) if j not in pivots)
+        w = [0] * m
+        w[free] = den
+        for row, p in zip(reduced, pivots):
+            w[p] = -row[free]
+        normal = tuple(Fraction(c, den) for c in w)
+        flip = den < 0
         plus = []
         minus = []
         for lab in labels:
             if lab in subset:
                 continue
-            d = sum(c * x for c, x in zip(minors, vectors[lab]))
+            d = sum(c * x for c, x in zip(w, vectors[lab]))
             if d == 0:
                 raise InvalidInputError(
                     "an extra vector lies on a candidate hyperplane; "

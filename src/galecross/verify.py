@@ -22,6 +22,7 @@ from .separations import schedule_blocks, schedule_eight, enumerate_separations
 
 DEFAULT_RANGE = 1000
 EXHAUSTIVE_BUDGET = 10_000
+BOUND_BIT_BUDGET = 10_000  # about 3000 decimal digits
 SUBSET_CAP_D6 = 40
 
 PROVENANCES = ("eight-point", "block-schedule", "direct-count")
@@ -368,5 +369,11 @@ def bound_report(n: int, d: int, cd_lower: int, provenance: str) -> BoundReport:
         raise InvalidInputError("cd_lower must be nonnegative")
     if provenance not in PROVENANCES:
         raise InvalidInputError(f"provenance must be one of {PROVENANCES}")
+    # C(n, k) <= n**k, so the bound has at most this many bits
+    bits = min(2 * d, n - 2 * d) * n.bit_length() + cd_lower.bit_length()
+    if bits > BOUND_BIT_BUDGET:
+        raise InvalidInputError(
+            f"budget exceeded: the bound may need {bits} bits > {BOUND_BIT_BUDGET}"
+        )
     pairs = math.comb(n, 2 * d)
     return BoundReport(d, n, cd_lower, pairs, cd_lower * pairs, provenance)

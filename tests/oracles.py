@@ -4,12 +4,13 @@ Everything here is deliberately written against different algorithms than the
 package: Fourier-Motzkin elimination instead of the simplex method, random
 normal sampling instead of candidate-plane enumeration, orientation predicates
 instead of LP feasibility, and the Pascal recurrence instead of math.comb.
-Two oracles follow the package's algorithm in different arithmetic, so the
+Three oracles follow the package's algorithm in different arithmetic, so the
 package must reach the same results by the same steps. fraction_simplex_max is
 a two-phase tableau simplex with a Fraction in every cell, against the
-package's integer tableau; fraction_candidate_scan finds each candidate
-hyperplane's normal by Fraction Gauss-Jordan elimination and classifies the
-other vectors by Fraction dot products, against the package's integer minors.
+package's integer tableau; fraction_rref is Gauss-Jordan elimination with a
+Fraction in every cell, against the package's fraction-free integer
+elimination; fraction_candidate_scan finds each candidate hyperplane's normal
+from fraction_rref and classifies the other vectors by Fraction dot products.
 Slow is fine; these only run in tests on small instances.
 """
 
@@ -219,11 +220,11 @@ def sampled_separations(labeled_vectors, sizes, samples, seed, spread=1000):
     return found
 
 
-def fraction_kernel_normal(rows, width):
-    """The null vector of `rows` with a 1 at the free column of their reduced
-    row echelon form and 0 at no other free column; None unless exactly one
-    column is free, that is unless the rows have rank width - 1."""
+def fraction_rref(rows):
+    """Reduced row echelon form over Fractions, as a list of Fraction rows,
+    and the tuple of its pivot columns; the width is that of the first row."""
     a = [[Fraction(x) for x in row] for row in rows]
+    width = len(a[0]) if a else 0
     pivots = []
     for col in range(width):
         r = len(pivots)
@@ -236,14 +237,28 @@ def fraction_kernel_normal(rows, width):
             if i != r and a[i][col] != 0:
                 a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
-    free = [col for col in range(width) if col not in pivots]
-    if len(free) != 1:
-        return None
-    normal = [Fraction(0)] * width
-    normal[free[0]] = Fraction(1)
-    for r, col in enumerate(pivots):
-        normal[col] = -a[r][free[0]]
-    return tuple(normal)
+    return a, tuple(pivots)
+
+
+def fraction_kernel_basis(rows, width):
+    """One null vector of `rows` per free column of their reduced row echelon
+    form, free columns ascending: a 1 at its own free column, 0 at the others."""
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for free in (col for col in range(width) if col not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            v[col] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_kernel_normal(rows, width):
+    """The one vector of fraction_kernel_basis; None unless exactly one column
+    is free, that is unless the rows have rank width - 1."""
+    basis = fraction_kernel_basis(rows, width)
+    return basis[0] if len(basis) == 1 else None
 
 
 def fraction_candidate_scan(labeled_vectors):

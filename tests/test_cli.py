@@ -465,6 +465,52 @@ def test_diagram_commands_never_raise_on_any_field_value(where, index, value):
             assert code in (0, 1, 2), command
 
 
+POINT_8X4 = moment_curve_config(8, 4).to_json_obj()
+NESTED_DAMAGE = [
+    *((POINT_8X4, where) for where in ("dimension", "points", "label", "coords", "coord")),
+    *((DIAGRAM_8X4, where) for where in ("m", "source_d", "vectors", "label", "coords", "coord")),
+]
+NESTED_COMMANDS = (("check",), ("gale",), ("separations",), ("schedule", "--kind", "blocks"))
+
+
+def _nested_text(obj, where, index, depth):
+    """The JSON text of a valid file whose value at `where` is wrapped in
+    `depth` lists; written by hand, since json.dumps itself refuses deep
+    nesting."""
+    obj = copy.deepcopy(obj)
+    items = obj.get("points") or obj["vectors"]
+    if where in obj:
+        holder, key = obj, where
+    elif where == "coord":
+        holder, key = items[index]["coords"], 0
+    else:
+        holder, key = items[index], where
+    value = holder[key]
+    holder[key] = "@nested@"
+    return json.dumps(obj).replace(
+        json.dumps("@nested@"), "[" * depth + json.dumps(value) + "]" * depth
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(NESTED_DAMAGE),
+    st.integers(0, 7),
+    st.integers(1, 40) | st.integers(500, 3000) | st.sampled_from([5000, 100_000]),
+)
+def test_nested_damage_exit_2(damage, index, depth):
+    obj, where = damage
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.json"
+        path.write_text(_nested_text(obj, where, index, depth))
+        for command, *options in NESTED_COMMANDS:
+            stderr = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                code = main([command, "--in", str(path), *options])
+            assert code == 2, command
+            assert stderr.getvalue().startswith("error:"), command
+
+
 def _timed(capsys, *argv):
     start = time.perf_counter()
     code, _, stderr = run(capsys, *argv)
@@ -546,6 +592,46 @@ def test_verify_fixed_scan_over_budget_exit_2(tmp_path, capsys, what):
     code, stderr, elapsed = _timed(capsys, "verify", what, "--fixed", str(pts))
     assert code == 2
     assert "budget exceeded" in stderr and "145422675" in stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--kind", "random", "--n", "30", "--d", "15"),
+        ("verify", "duality", "--d", "15", "--n", "30", "--trials", "1"),
+    ],
+)
+def test_random_draw_scan_over_budget_exit_2(capsys, argv):
+    # C(30,16) = 145422675 determinants per draw, refused before any draw
+    code, stderr, elapsed = _timed(capsys, *argv)
+    assert code == 2
+    assert "budget exceeded" in stderr and "145422675" in stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--kind", "random", "--n", "-3", "--d", "2"),
+        ("gen", "--kind", "random", "--n", "3", "--d", "-5"),
+        ("verify", "duality", "--d", "2", "--n", "-3", "--trials", "1"),
+    ],
+)
+def test_random_draw_negative_sizes_exit_2(capsys, argv):
+    # the budget check must leave negative sizes to the input checks
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("n, d", [("1000000", "1000"), ("1000000000", "1000000")])
+def test_bound_over_budget_exit_2(capsys, n, d):
+    # C(n, 2d) would have over 4300 decimal digits, refused before math.comb
+    argv = ("bound", "--n", n, "--d", d, "--cd-lower", "1", "--provenance", "eight-point")
+    code, stderr, elapsed = _timed(capsys, *argv)
+    assert code == 2
+    assert "budget exceeded" in stderr
     assert elapsed < 1
 
 

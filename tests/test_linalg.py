@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from galecross.errors import InvalidInputError
 from galecross.linalg import det, kernel_basis, rank, rref
 from galecross.lp import lp_max_min
+from oracles import fraction_kernel_basis, fraction_rref
 
 
 def det_by_permutations(m):
@@ -110,17 +111,57 @@ def test_det_requires_square():
         det([[1, 2, 3], [4, 5, 6]])
 
 
+def _over(int_rows, den):
+    return [[Fraction(x, den) for x in row] for row in int_rows]
+
+
 def test_rref_idempotent_and_pivots():
     rng = random.Random(6)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        r, pivots = rref(m)
-        again, pivots2 = rref(r)
-        assert again == r and pivots2 == pivots
+        r, pivots, den = rref(m)
+        reduced = _over(r, den)
+        again, pivots2, den2 = rref(reduced)
+        assert _over(again, den2) == reduced and pivots2 == pivots
         for k, j in enumerate(pivots):
-            col = [row[j] for row in r]
+            col = [row[j] for row in reduced]
             assert col[k] == 1
-            assert all(col[i] == 0 for i in range(len(r)) if i != k)
+            assert all(col[i] == 0 for i in range(len(reduced)) if i != k)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 5x6, the empty one included, with optional
+    dependent rows, zero columns and rows negated to lead with a negative."""
+    height = draw(st.integers(0, 5))
+    width = draw(st.integers(1, 6)) if height else 0
+    rows = [draw(st.lists(RATIONALS, min_size=width, max_size=width)) for _ in range(height)]
+    if height >= 2 and draw(st.booleans()):
+        a, b = draw(RATIONALS), draw(RATIONALS)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if width:
+        for j in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+    for row in rows:
+        lead = next((x for x in row if x != 0), 0)
+        if lead > 0 and draw(st.booleans()):
+            row[:] = [-x for x in row]
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_oracle(rows):
+    int_rows, pivots, den = rref(rows)
+    expected, expected_pivots = fraction_rref(rows)
+    assert type(den) is int and den != 0
+    assert all(type(x) is int for row in int_rows for x in row)
+    assert pivots == expected_pivots
+    assert _over(int_rows, den) == expected
+    assert rank(rows) == len(expected_pivots)
+    width = len(rows[0]) if rows else 0
+    assert kernel_basis(rows) == fraction_kernel_basis(rows, width)
 
 
 def test_kernel_properties():
@@ -135,7 +176,7 @@ def test_kernel_properties():
             assert mul_vec(m, v) == zero
         # canonical form: each vector has a 1 in its own free column
         if basis:
-            _, pivots = rref(m)
+            _, pivots, _ = rref(m)
             free = [j for j in range(width) if j not in pivots]
             for v, j in zip(basis, free):
                 assert v[j] == 1
