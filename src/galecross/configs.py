@@ -4,6 +4,12 @@ predicate, dimension lifting, and the point-file format.
 Labels are strings so the CLI can reference points; every operation that
 enumerates subsets does so in lexicographic label order, which is what makes
 "first witness" style results reproducible.
+
+Coordinates are Fractions. Each configuration instance also holds, made once
+on first use, a label index and its integer form: every coordinate times one
+common scale s (linalg.clear_denominators over all points at once), as int
+rows. The general-position scan, the Gale lift and the crossing LP read those
+rows; Fractions are made again only for what they return.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError, RetryLimitError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import ONE, det
+from .linalg import ONE, clear_denominators, det
 from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 DUMMY_LABEL = "dummy"
@@ -55,28 +61,67 @@ class PointConfig:
         return tuple(p.label for p in self.points)
 
     def coords(self, label: str) -> tuple[Fraction, ...]:
-        for p in self.points:
-            if p.label == label:
-                return p.coords
-        raise InvalidInputError(f"unknown label: {label}")
+        return self.points[self._position(label)].coords
+
+    def int_coords(self, label: str) -> tuple[int, ...]:
+        """coords(label) times coord_scale, as ints."""
+        return self._integer_form[0][self._position(label)]
+
+    @property
+    def coord_scale(self) -> int:
+        """The common scale s > 0 of int_coords: the lcm of every
+        coordinate's denominator."""
+        return self._integer_form[1]
+
+    def _position(self, label) -> int:
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"unknown label: {label}") from None
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {p.label: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        rows, scale = clear_denominators([p.coords for p in self.points])
+        return tuple(map(tuple, rows)), scale
 
     @cached_property
     def _degenerate_subset(self) -> tuple[str, ...] | None:
         """find_degenerate_subset's scan, made once per instance: the
-        configuration is frozen, so its answer never changes."""
+        configuration is frozen, so its answer never changes.
+
+        A (d+1)-subset is affinely dependent iff the d x d determinant of its
+        other points minus its first point is zero: subtracting the first row
+        of the affine matrix (each point's coordinates, then a one) from the
+        others and expanding along the column of ones shows the affine
+        determinant is (-1)^d times it. The differences are taken on the int
+        coordinates, once per first point."""
         labels = sorted(self.labels())
-        for subset in combinations(labels, self.dimension + 1):
-            if _affine_det(self, subset) == 0:
-                return subset
+        rows = [self.int_coords(lab) for lab in labels]
+        for i, first in enumerate(rows):
+            diffs = [tuple(x - y for x, y in zip(row, first)) for row in rows[i + 1 :]]
+            for rest in combinations(range(len(diffs)), self.dimension):
+                if det([diffs[j] for j in rest]) == 0:
+                    return (labels[i], *(labels[i + 1 + j] for j in rest))
         return None
 
     def subset(self, labels) -> "PointConfig":
-        """Restriction to the given labels, preserving the original order."""
+        """Restriction to the given labels, preserving the original order.
+
+        A subset of a configuration already known to be in general position
+        is in general position too (its (d+1)-subsets are the parent's), so
+        it takes that answer without a scan."""
         wanted = set(labels)
-        missing = wanted - set(self.labels())
+        missing = wanted.difference(self._index)
         if missing:
             raise InvalidInputError(f"unknown labels: {sorted(missing)}")
-        return PointConfig(self.dimension, tuple(p for p in self.points if p.label in wanted))
+        sub = PointConfig(self.dimension, tuple(p for p in self.points if p.label in wanted))
+        if "_degenerate_subset" in self.__dict__ and self._degenerate_subset is None:
+            sub.__dict__["_degenerate_subset"] = None
+        return sub
 
     def config_id(self) -> str:
         digest = hashlib.sha256(canonical_dumps(self.to_json_obj()).encode()).hexdigest()
@@ -157,18 +202,13 @@ def random_config(n: int, d: int, seed: int, coord_range: int) -> PointConfig:
     )
 
 
-def _affine_det(config: PointConfig, labels) -> Fraction:
-    """Determinant of the (d+1)x(d+1) matrix with one row per point of the
-    subset: its coordinates, then a one."""
-    return det([config.coords(lab) + (ONE,) for lab in labels])
-
-
 def find_degenerate_subset(config: PointConfig) -> tuple[str, ...] | None:
     """First (d+1)-subset, in lexicographic label order, that is affinely
     dependent; None when the configuration is in general position.
 
     The C(n, d+1) determinants are computed on the first call for a
-    configuration instance only; later calls return the stored answer."""
+    configuration instance only, and not at all for a subset of one already
+    known to be in general position; later calls return the stored answer."""
     return config._degenerate_subset
 
 

@@ -6,6 +6,11 @@ Two simplices cross when their relative interiors share a point; with exact
 arithmetic that is the strict positivity of the optimum of a max-min LP over
 the barycentric weights. Boundary contact (optimum exactly 0) is NOT crossing,
 and pairs sharing a vertex are refused outright rather than counted.
+
+The LP rows and the witness check read the configuration's stored int
+coordinates and scale (PointConfig.int_coords, PointConfig.coord_scale), so
+no pair clears denominators again. Fractions appear only in a crossing
+witness: the LP's weights, read off its result, and the certified point.
 """
 
 from __future__ import annotations
@@ -38,14 +43,18 @@ class CrossingWitness:
         """Re-check every invariant by direct arithmetic (no LP trust):
         positive coefficients, each side's summing to one, and both sides'
         combinations equal to the point. The check runs on ints: the
-        coordinates cleared by one scale, the coefficients by one lcm."""
+        configuration's int coordinates, the coefficients cleared by one
+        lcm."""
         left = sorted(self.pair.left)
         right = sorted(self.pair.right)
         if len(left) != len(self.left_coeffs) or len(right) != len(self.right_coeffs):
             return False
-        cols, scale = clear_denominators([config.coords(lab) for lab in left + right])
         point = _certified_point(
-            cols[: len(left)], cols[len(left) :], scale, self.left_coeffs, self.right_coeffs
+            [config.int_coords(lab) for lab in left],
+            [config.int_coords(lab) for lab in right],
+            config.coord_scale,
+            self.left_coeffs,
+            self.right_coeffs,
         )
         return point == self.point
 
@@ -107,12 +116,13 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     Builds the equality system sum lam_i x_i - sum mu_j x_j = 0, sum lam = 1,
     sum mu = 1 over the concatenated weights and maximizes their minimum; the
     pair crosses exactly when the optimum is strictly positive. The system
-    goes to the LP in ints: the coordinate rows times one lcm L of the pair's
-    coordinate denominators, and the two weight rows and their right-hand
-    sides times L too, which is the integer tableau simplex_max would build
-    from the rational rows. The LP's weights are then certified on the same
-    ints (_certified_point, as in CrossingWitness.validate), which also gives
-    the witness point."""
+    goes to the LP in ints: the coordinate rows of the configuration's int
+    coordinates, which are the rational ones times its scale L > 0, and the
+    two weight rows and their right-hand sides times L too. A positive
+    multiple of the rational system gives Bland's rule the same pivots and
+    the LP the same weights. Only a crossing pair reads those weights as
+    Fractions; they are certified on the same ints (_certified_point, as in
+    CrossingWitness.validate), which also gives the witness point."""
     left = sorted(set(left))
     right = sorted(set(right))
     if not left or not right:
@@ -121,8 +131,9 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     if shared:
         raise InvalidInputError(f"shared vertex (never a crossing): {sorted(shared)}")
     nl, nr = len(left), len(right)
-    cols, scale = clear_denominators([config.coords(lab) for lab in left + right])
-    lcols, rcols = cols[:nl], cols[nl:]
+    lcols = [config.int_coords(lab) for lab in left]
+    rcols = [config.int_coords(lab) for lab in right]
+    scale = config.coord_scale
     rows = [[*lk, *(-x for x in rk)] for lk, rk in zip(zip(*lcols), zip(*rcols))]
     rows.append([scale] * nl + [0] * nr)
     rows.append([0] * nl + [scale] * nr)
@@ -161,7 +172,8 @@ def count_crossing_pairs(
     crossing = 0
     witnesses = []
     for left in combinations(labels, p):
-        rest = [lab for lab in labels if lab not in set(left)]
+        taken = set(left)
+        rest = [lab for lab in labels if lab not in taken]
         for right in combinations(rest, q):
             if p == q and right[0] < left[0]:
                 continue
@@ -191,7 +203,8 @@ def vkf_find(config: PointConfig) -> CrossingWitness:
     labels = sorted(config.labels())
     size = k + 1
     for left in combinations(labels, size):
-        rest = [lab for lab in labels if lab not in set(left)]
+        taken = set(left)
+        rest = [lab for lab in labels if lab not in taken]
         for right in combinations(rest, size):
             if right[0] < left[0]:
                 continue
@@ -226,7 +239,8 @@ def extend_crossing(config: PointConfig, witness: CrossingWitness, target: int) 
     found = []
     checked = 0
     for extra_left in combinations(spares, nl):
-        remaining = [lab for lab in spares if lab not in set(extra_left)]
+        taken = set(extra_left)
+        remaining = [lab for lab in spares if lab not in taken]
         for extra_right in combinations(remaining, nr):
             checked += 1
             w = simplices_cross(

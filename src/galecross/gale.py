@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .configs import (
@@ -28,12 +29,13 @@ from .lp import OPTIMAL, lp_max_min
 from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 
-def lift_matrix(config: PointConfig) -> list[list[Fraction]]:
-    """The (d+1) x n matrix as rows: coordinate rows, then the all-ones row."""
-    rows = [
-        [p.coords[k] for p in config.points] for k in range(config.dimension)
-    ]
-    rows.append([ONE] * config.n)
+def lift_matrix(config: PointConfig) -> list[list[int]]:
+    """The (d+1) x n matrix as int rows, times the configuration's scale s:
+    the coordinate rows of its int coordinates, then s in every column. A
+    positive multiple has the same kernel and rank as the matrix itself."""
+    cols = [config.int_coords(p.label) for p in config.points]
+    rows = [[col[k] for col in cols] for k in range(config.dimension)]
+    rows.append([config.coord_scale] * config.n)
     return rows
 
 
@@ -65,10 +67,14 @@ class GaleDiagram:
         return tuple(v.label for v in self.vectors)
 
     def vector(self, label: str) -> tuple[Fraction, ...]:
-        for v in self.vectors:
-            if v.label == label:
-                return v.coords
-        raise InvalidInputError(f"unknown diagram label: {label}")
+        try:
+            return self.vectors[self._index[label]].coords
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"unknown diagram label: {label}") from None
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v.label: i for i, v in enumerate(self.vectors)}
 
     def to_json_obj(self) -> dict:
         return {

@@ -17,30 +17,69 @@ Public surface:
                  stated as lp_max_min programs.
 
 simplex_max takes ints and Fractions as they come (anything else is refused
-once per LP), clears the denominators of a Fraction input, and builds
-Fractions only for the objective and the solution it returns. Callers with
-integer data (the crossing predicate) pass ints, so no Fraction is made on
-the way into the tableau.
+once per LP) and clears the denominators of a Fraction input. Ints become
+Fractions only on the way out: the objective is one Fraction, and the
+solution stays int numerators over the final tableau's denominator until
+LpResult.solution is first read. lp_max_min shifts those numerators by t
+before any Fraction exists, so a caller that reads only the status and the
+objective (the crossing predicate on a non-crossing pair) makes no solution
+Fraction at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .linalg import ZERO, clear_denominators
+from .linalg import clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
 class LpResult:
-    status: str
-    objective: Fraction | None = None
-    solution: tuple[Fraction, ...] | None = None
+    """An LP's status and, when optimal, its objective and solution.
+
+    LpResult(status, objective, solution) holds them as given. The solvers
+    instead keep the solution as int numerators over one denominator and
+    build its Fractions on the first read of `solution`."""
+
+    __slots__ = ("status", "objective", "_solution", "_numerators", "_den")
+
+    def __init__(self, status, objective=None, solution=None):
+        self.status = status
+        self.objective = objective
+        self._solution = solution
+        self._numerators = None
+        self._den = 1
+
+    @classmethod
+    def _optimal(cls, objective, numerators, den) -> "LpResult":
+        res = cls(OPTIMAL, objective)
+        res._numerators = numerators
+        res._den = den
+        return res
+
+    @property
+    def solution(self) -> tuple[Fraction, ...] | None:
+        if self._solution is None and self._numerators is not None:
+            self._solution = tuple(Fraction(v, self._den) for v in self._numerators)
+        return self._solution
+
+    def _key(self):
+        return (self.status, self.objective, self.solution)
+
+    def __eq__(self, other):
+        if not isinstance(other, LpResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "LpResult(status={!r}, objective={!r}, solution={!r})".format(*self._key())
 
 
 def _optimize(tab, basis, den, cost):
@@ -110,8 +149,8 @@ def simplex_max(c, a, b) -> LpResult:
     Entries are ints or Fractions. a and b are scaled by one lcm of all their
     denominators and c by the lcm of its own. Positive scaling keeps every
     sign and the order of every ratio, so Bland's rule makes the same pivots
-    as on the rational tableau, and the solution is that tableau's, read off
-    as Fractions at the end."""
+    as on the rational tableau, and the solution is that tableau's: its
+    right-hand sides over the final denominator."""
     m = len(a)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a):
@@ -149,11 +188,11 @@ def simplex_max(c, a, b) -> LpResult:
     status, den = _optimize(tab, basis, den, cost)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
-    x = [ZERO] * n
+    x = [0] * n
     for bi, row in zip(basis, tab):
-        x[bi] = Fraction(row[-1], den)
+        x[bi] = row[-1]
     objective = Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, tab)), den * cost_scale)
-    return LpResult(OPTIMAL, objective, tuple(x))
+    return LpResult._optimal(objective, x, den)
 
 
 def lp_max_min(aeq, b) -> LpResult:
@@ -162,7 +201,8 @@ def lp_max_min(aeq, b) -> LpResult:
     aeq is a sequence of equal-length rows; with no rows there are no
     variables and t is unbounded. Substitutes y_i = x_i - t >= 0 and splits
     the free t, then solves the standard form exactly. On "optimal" the
-    solution is the original x."""
+    solution is the original x, formed as y + t on the int numerators of the
+    standard form's solution."""
     n = len(aeq[0]) if aeq else 0
     if len(b) != len(aeq):
         raise InvalidInputError("b length does not match Aeq row count")
@@ -174,6 +214,7 @@ def lp_max_min(aeq, b) -> LpResult:
     res = simplex_max([0] * n + [1, -1], a, b)
     if res.status != OPTIMAL:
         return res
-    t = res.objective
-    x = tuple(y + t for y in res.solution[:n])
-    return LpResult(OPTIMAL, t, x)
+    # the objective is t+ - t-, so t is their numerators' difference over den
+    y = res._numerators
+    t = y[n] - y[n + 1]
+    return LpResult._optimal(res.objective, [v + t for v in y[:n]], res._den)

@@ -72,9 +72,14 @@ class BoundReport:
 
 def _run_trials(check_name: str, trials: int, seed: int, single_trial) -> VerificationReport:
     """single_trial(trial_seed) returns a failure detail string, empty on pass;
-    domain errors raised inside a trial count as failures of that trial."""
+    domain errors raised inside a trial count as failures of that trial. More
+    than EXHAUSTIVE_BUDGET trials are refused before the first one runs."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if trials > EXHAUSTIVE_BUDGET:
+        raise InvalidInputError(
+            f"budget exceeded: {trials} trials > {EXHAUSTIVE_BUDGET}"
+        )
     start = time.monotonic()
     failures = []
     for i in range(trials):
@@ -330,6 +335,8 @@ def verify_position_duality(d: int, n: int, trials: int, seed: int) -> Verificat
     """Trials of the general-position/spanning equivalence over raw unrejected
     samples with a tiny coordinate range, so both degenerate and generic
     configurations occur."""
+    if d < 1:
+        raise InvalidInputError("need d >= 1")
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2")
 

@@ -10,7 +10,9 @@ a two-phase tableau simplex with a Fraction in every cell, against the
 package's integer tableau; fraction_rref is Gauss-Jordan elimination with a
 Fraction in every cell, against the package's fraction-free integer
 elimination; fraction_candidate_scan finds each candidate hyperplane's normal
-from fraction_rref and classifies the other vectors by Fraction dot products.
+from fraction_rref and classifies the other vectors by Fraction dot products;
+fraction_degenerate_subset ranks each affine (d+1)-subset with fraction_rref,
+against the package's integer determinants of differences.
 Slow is fine; these only run in tests on small instances.
 """
 
@@ -259,6 +261,18 @@ def fraction_kernel_normal(rows, width):
     is free, that is unless the rows have rank width - 1."""
     basis = fraction_kernel_basis(rows, width)
     return basis[0] if len(basis) == 1 else None
+
+
+def fraction_degenerate_subset(labeled_points, d):
+    """The first (d+1)-subset of the labels, in lexicographic order, whose
+    affine rows (each point's coordinates, then a one) have fraction_rref
+    rank below d+1; None when there is none."""
+    points = dict(labeled_points)
+    for subset in combinations(sorted(points), d + 1):
+        rows = [[*points[lab], 1] for lab in subset]
+        if len(fraction_rref(rows)[1]) < d + 1:
+            return subset
+    return None
 
 
 def fraction_candidate_scan(labeled_vectors):

@@ -616,6 +616,8 @@ def test_random_draw_scan_over_budget_exit_2(capsys, argv):
         ("gen", "--kind", "random", "--n", "-3", "--d", "2"),
         ("gen", "--kind", "random", "--n", "3", "--d", "-5"),
         ("verify", "duality", "--d", "2", "--n", "-3", "--trials", "1"),
+        # refused before any trial, not failed trial by trial (was exit 1)
+        ("verify", "duality", "--d", "-5", "--n", "3", "--trials", "1"),
     ],
 )
 def test_random_draw_negative_sizes_exit_2(capsys, argv):
@@ -623,6 +625,25 @@ def test_random_draw_negative_sizes_exit_2(capsys, argv):
     code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == "" and stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bijection", "--d", "2", "--n", "4"),
+        ("duality", "--d", "2", "--n", "4"),
+        ("eight",),
+        ("pipeline", "--d", "4"),
+        ("vkf", "--k", "1"),
+        ("planar", "--n", "10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verify_trials_over_budget_exit_2(capsys, argv):
+    code, stderr, elapsed = _timed(capsys, "verify", *argv, "--trials", "100000000")
+    assert code == 2
+    assert "budget exceeded" in stderr and "100000000 trials" in stderr
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("n, d", [("1000000", "1000"), ("1000000000", "1000000")])

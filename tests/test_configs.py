@@ -6,10 +6,11 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import galecross.configs
 from conftest import config_from
+from oracles import fraction_degenerate_subset
 from galecross import (
     GaleDiagram,
     LabeledPoint,
@@ -138,6 +139,89 @@ def test_general_position_scanned_once_per_config(monkeypatch):
     for _ in range(3):
         assert find_degenerate_subset(collinear) == ("p1", "p2", "p3")
     assert len(calls) == 1
+
+
+# a small pool of coordinates of either sign and mixed denominators, so that
+# repeated values make collinear and coplanar subsets common
+COORD_POOL = [
+    Fraction(v) for v in ("-2", "-3/2", "-1", "-2/3", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2")
+]
+
+
+@st.composite
+def pooled_configs(draw):
+    """A fresh configuration of d+1..d+4 points in R^d, d in 1..4, with labels
+    whose lexicographic order differs from the point order."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 1, d + 4))
+    labels = draw(st.permutations([f"p{i}" for i in range(1, n + 1)]))
+    rows = draw(
+        st.lists(st.tuples(*[st.sampled_from(COORD_POOL)] * d), min_size=n, max_size=n)
+    )
+    return PointConfig(d, tuple(LabeledPoint(lab, row) for lab, row in zip(labels, rows)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pooled_configs())
+def test_integer_scan_matches_fraction_rank_oracle(cfg):
+    # the scan's d x d determinants of differences on int coordinates against
+    # the Fraction rank of every affine (d+1)-subset
+    want = fraction_degenerate_subset(
+        [(p.label, p.coords) for p in cfg.points], cfg.dimension
+    )
+    event("degenerate" if want else "general position")
+    assert find_degenerate_subset(cfg) == want
+
+
+def _counting_det(monkeypatch):
+    calls = []
+    det = galecross.configs.det
+
+    def counting_det(rows):
+        calls.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(galecross.configs, "det", counting_det)
+    return calls
+
+
+def test_subset_of_general_position_config_makes_no_det_call(monkeypatch):
+    calls = _counting_det(monkeypatch)
+    cfg = moment_curve_config(8, 3)
+    unscanned = cfg.subset(["p1", "p3", "p4", "p6", "p8"])
+    assert is_general_position(cfg)
+    assert len(calls) == comb(8, 4)
+    calls.clear()
+    sub = cfg.subset(["p2", "p3", "p5", "p7", "p8"])
+    assert find_degenerate_subset(sub) is None
+    assert calls == []
+    # a subset taken before the parent's scan scans on its own
+    assert is_general_position(unscanned)
+    assert len(calls) == comb(5, 4)
+
+
+def test_subset_of_degenerate_config_still_scans(monkeypatch):
+    calls = _counting_det(monkeypatch)
+    collinear = config_from(
+        2, [("p1", (0, 0)), ("p2", (1, 1)), ("p3", (2, 2)), ("p4", (5, 0)), ("p5", (0, 3))]
+    )
+    assert find_degenerate_subset(collinear) == ("p1", "p2", "p3")
+    calls.clear()
+    sub = collinear.subset(["p1", "p2", "p4", "p5"])
+    assert find_degenerate_subset(sub) is None
+    assert len(calls) == comb(4, 3)
+    assert find_degenerate_subset(collinear.subset(["p1", "p3", "p2"])) == ("p1", "p2", "p3")
+
+
+def test_unknown_labels_raise_invalid_input(cyclic_square):
+    dia = gale_transform(moment_curve_config(6, 2))
+    for label in ("p9", "", ["p1"]):
+        with pytest.raises(InvalidInputError, match="unknown"):
+            cyclic_square.coords(label)
+        with pytest.raises(InvalidInputError, match="unknown"):
+            dia.vector(label)
+    with pytest.raises(InvalidInputError, match="unknown"):
+        cyclic_square.int_coords("p9")
 
 
 def test_lift_odd_shape():
