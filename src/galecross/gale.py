@@ -6,6 +6,29 @@ The canonical kernel basis of M, read off column by column, gives n labeled
 vectors in R^m: the diagram. The key duality: strict origin-hyperplane
 bipartitions of the diagram correspond to vertex-disjoint simplex pairs of the
 source whose relative interiors meet, with matching part sizes.
+
+General position is tested on whichever side of Gale duality has the smaller
+matrices. When the points affinely span R^d, a (d+1)-subset of them is
+affinely dependent exactly when the other m = n-d-1 diagram vectors are
+linearly dependent (Matousek, Lectures on Discrete Geometry, Sec. 5.6). The
+columns of the lift matrix M on a set S of d+1 points are dependent (S is
+affinely dependent) iff some nonzero kernel vector of M vanishes outside S.
+The kernel of M is the set of G y, for the diagram's n x m matrix G of rank
+m, so that happens iff G_T y = 0 for some y != 0, where G_T holds the m rows
+outside S: iff those m vectors are dependent. Both sides thus answer the
+same C(n, d+1) = C(n, m) questions: d x d determinants on the points
+(configs.find_degenerate_subset) or m x m ones on the diagram
+(verify_spanning). gale_transform builds the diagram first and checks it when
+m < d and the configuration has no stored scan. The diagram side only says
+yes or no, so when it says no, or when the points do not affinely span R^d
+(the kernel has more than m vectors), the point-side scan runs and names the
+first dependent subset. Only that scan stores an answer on the
+configuration, so verify_duality still compares two independently computed
+sides.
+
+Each diagram holds its vectors as int rows over one common scale, made once
+per instance; the spanning check, the candidate scan in separations and the
+witness audits read them.
 """
 
 from __future__ import annotations
@@ -24,7 +47,7 @@ from .configs import (
 )
 from .errors import InvalidInputError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import ONE, ZERO, kernel_basis, rank
+from .linalg import ONE, ZERO, clear_denominators, int_det, kernel_basis, rank
 from .lp import OPTIMAL, lp_max_min
 from .rationals import format_vector, parse_count, parse_label, parse_vector
 
@@ -67,14 +90,27 @@ class GaleDiagram:
         return tuple(v.label for v in self.vectors)
 
     def vector(self, label: str) -> tuple[Fraction, ...]:
+        return self.vectors[self._position(label)].coords
+
+    def int_vector(self, label: str) -> tuple[int, ...]:
+        """vector(label) times the diagram's common scale s > 0, as ints; s
+        keeps every sign and every linear dependence."""
+        return self._integer_form[self._position(label)]
+
+    def _position(self, label) -> int:
         try:
-            return self.vectors[self._index[label]].coords
+            return self._index[label]
         except (KeyError, TypeError):
             raise InvalidInputError(f"unknown diagram label: {label}") from None
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {v.label: i for i, v in enumerate(self.vectors)}
+
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], ...]:
+        rows, _ = clear_denominators([v.coords for v in self.vectors])
+        return tuple(map(tuple, rows))
 
     def to_json_obj(self) -> dict:
         return {
@@ -175,34 +211,47 @@ def _negate(v):
 
 
 def gale_transform(config: PointConfig) -> GaleDiagram:
-    """Canonical diagram of a general-position configuration with n >= d+2."""
+    """Canonical diagram of a general-position configuration with n >= d+2.
+
+    General position is decided by the diagram's m x m determinants when
+    m < d and the configuration holds no scan yet, and by the points' d x d
+    determinants otherwise; a configuration that is not in general position
+    is always named by its first dependent subset from the point side."""
     n, d = config.n, config.dimension
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2 so that m >= 1")
+    if n - d - 1 < d and "_degenerate_subset" not in config.__dict__:
+        diagram = _kernel_diagram(config)
+        if diagram is not None and verify_spanning(diagram):
+            return diagram
     bad = find_degenerate_subset(config)
     if bad is not None:
         raise InvalidInputError(
             f"configuration is not in general position: "
             f"affinely dependent subset {sorted(bad)}"
         )
-    return _transform_from_kernel(config)
+    return _kernel_diagram(config)
 
 
-def _transform_from_kernel(config: PointConfig) -> GaleDiagram:
+def _kernel_diagram(config: PointConfig) -> GaleDiagram | None:
+    """The diagram read off the lift matrix's canonical kernel basis; None
+    when the points do not affinely span R^d, so that the kernel has more
+    than m = n-d-1 vectors."""
     basis = kernel_basis(lift_matrix(config))
-    m = len(basis)
+    if len(basis) != config.n - config.dimension - 1:
+        return None
     vectors = tuple(
         LabeledPoint(p.label, tuple(row[i] for row in basis))
         for i, p in enumerate(config.points)
     )
-    return GaleDiagram(m, config.dimension, vectors)
+    return GaleDiagram(len(basis), config.dimension, vectors)
 
 
 def verify_spanning(diagram: GaleDiagram) -> bool:
-    """True iff every m-subset of diagram vectors has rank m."""
-    m = diagram.m
-    for subset in combinations(sorted(diagram.labels()), m):
-        if rank([diagram.vector(lab) for lab in subset]) < m:
+    """True iff every m-subset of diagram vectors has rank m: its m x m
+    determinant on the diagram's int vectors is nonzero."""
+    for rows in combinations(diagram._integer_form, diagram.m):
+        if int_det(rows) == 0:
             return False
     return True
 
@@ -218,10 +267,8 @@ def verify_duality(config: PointConfig) -> bool:
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2")
     left = is_general_position(config)
-    if rank(lift_matrix(config)) < d + 1:
-        right = False
-    else:
-        right = verify_spanning(_transform_from_kernel(config))
+    diagram = _kernel_diagram(config)
+    right = diagram is not None and verify_spanning(diagram)
     return left == right
 
 
@@ -249,9 +296,10 @@ def separation_classifies(diagram: GaleDiagram, separation: LinearSeparation) ->
     off-plane vector strictly, and every on-plane vector must appear in
     witness_shifts with the side it was assigned to."""
     shifts = dict(separation.witness_shifts)
-    h = separation.witness_normal
-    for lab in diagram.labels():
-        dot = sum((a * b for a, b in zip(h, diagram.vector(lab))), ZERO)
+    (h,), _ = clear_denominators([separation.witness_normal])
+    for v, g in zip(diagram.vectors, diagram._integer_form):
+        lab = v.label
+        dot = sum(a * b for a, b in zip(h, g))
         if dot == 0:
             sign = shifts.get(lab)
             if sign is None:
@@ -289,7 +337,7 @@ def separation_to_crossing(diagram: GaleDiagram, separation: LinearSeparation) -
         raise InvalidInputError(
             f"not a proper separation: sizes {separation.sizes()}, expected {sorted(proper)}"
         )
-    shifted = [diagram.vector(lab) for lab, _ in separation.witness_shifts]
+    shifted = [diagram.int_vector(lab) for lab, _ in separation.witness_shifts]
     if not separation_classifies(diagram, separation) or rank(shifted) < len(shifted):
         raise InvalidInputError("separation is not strictly realizable by its stored witness")
     return SimplexPair(separation.side_a, separation.side_b)

@@ -5,7 +5,8 @@ A matrix is a sequence of equal-length rows, and its width is the length of
 the first row, so a matrix with no rows has no columns. Entries are Fractions
 or ints; every result is exact either way. clear_denominators is the one rule
 that turns rational rows into int rows; det and rref clear once and then
-eliminate fraction-free on Python ints. Everything here is deterministic.
+eliminate fraction-free on Python ints; int_det is det's integer core, for
+callers that already hold int rows. Everything here is deterministic.
 kernel_basis returns the RREF-derived basis (one vector per free column, free
 columns in ascending order), which downstream code treats as *the* canonical
 basis; semantic assertions elsewhere only ever use basis-invariant quantities.
@@ -78,25 +79,30 @@ def rank(rows) -> int:
 
 
 def det(rows) -> Fraction:
-    """Determinant by Bareiss elimination on ints.
-
-    The rows are cleared of denominators by one scale s, so det(rows) is the
-    integer determinant over s**n; every Bareiss quotient on an integer
-    matrix is exact (Bareiss 1968)."""
+    """Determinant: the rows cleared of denominators by one scale s, then
+    int_det of the int rows over s**n."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise InvalidInputError("determinant requires a square matrix")
-    if n == 0:
-        return ONE
     ints, scale = clear_denominators(rows)
-    a = [list(row) for row in ints]
+    return Fraction(int_det(ints), scale**n)
+
+
+def int_det(rows) -> int:
+    """Determinant of a square matrix of ints by Bareiss elimination; every
+    quotient is exact (Bareiss 1968). The caller checks the shape and the
+    entry types."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
-                return ZERO
+                return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot = a[k][k]
@@ -108,7 +114,7 @@ def det(rows) -> Fraction:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale**n)
+    return sign * a[n - 1][n - 1]
 
 
 def kernel_basis(rows) -> list[tuple[Fraction, ...]]:

@@ -146,17 +146,16 @@ def _pivot(tab, basis, den, r, s):
 def simplex_max(c, a, b) -> LpResult:
     """Maximize c.x subject to a x = b, x >= 0. Two-phase, exact.
 
-    Entries are ints or Fractions. a and b are scaled by one lcm of all their
-    denominators and c by the lcm of its own. Positive scaling keeps every
-    sign and the order of every ratio, so Bland's rule makes the same pivots
-    as on the rational tableau, and the solution is that tableau's: its
-    right-hand sides over the final denominator."""
+    Entries are ints or Fractions. a, b and c are scaled by one lcm of all
+    their denominators, in one type scan. Positive scaling keeps every sign
+    and the order of every ratio, so Bland's rule makes the same pivots as on
+    the rational tableau, and the solution is that tableau's: its right-hand
+    sides over the final denominator."""
     m = len(a)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a):
         raise InvalidInputError("inconsistent LP dimensions")
-    (*rows, rhs), _ = clear_denominators([*a, b])
-    (cost,), cost_scale = clear_denominators([c])
+    (*rows, rhs, cost), scale = clear_denominators([*a, b, c])
 
     # phase 1: drive artificial variables (columns n..n+m-1) to zero; each
     # row is [a_i | unit_i | b_i], a_i and b_i negated together when b_i < 0
@@ -191,7 +190,7 @@ def simplex_max(c, a, b) -> LpResult:
     x = [0] * n
     for bi, row in zip(basis, tab):
         x[bi] = row[-1]
-    objective = Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, tab)), den * cost_scale)
+    objective = Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, tab)), den * scale)
     return LpResult._optimal(objective, x, den)
 
 

@@ -10,12 +10,12 @@ rank below m: either an (m-1)-subset is dependent, or a further vector lies on
 its hyperplane. So a spanning diagram has one candidate per (m-1)-subset,
 and each public call scans it once.
 
-The scan runs on integers. The vectors are scaled once by the lcm of their
-denominators, which keeps every sign; a candidate's normal comes from the
-integer rref of its subset, and every other vector's side from an integer
-dot product. Each candidate stores its plus and minus label sets, so
-the cut search and the schedules test bisection by counting labels in them
-and compute no further dot product.
+The scan runs on integers. It reads the diagram's int vectors, scaled once
+per diagram by the lcm of their denominators, which keeps every sign; a
+candidate's normal comes from the integer rref of its subset, and every
+other vector's side from an integer dot product. Each candidate stores its
+plus and minus label sets, so the cut search and the schedules test
+bisection by counting labels in them and compute no further dot product.
 
 Enumeration rests on a rotation argument: any hyperplane strictly separating
 the vectors can be rotated, without any vector changing sides, until it
@@ -62,7 +62,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import GaleDiagram, LinearSeparation, proper_sizes
-from .linalg import clear_denominators, rref
+from .linalg import rref
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ def _oriented_candidates(diagram: GaleDiagram) -> list:
     has rank below m."""
     m = diagram.m
     labels = sorted(diagram.labels())
-    ints, _ = clear_denominators([v.coords for v in diagram.vectors])
-    vectors = {v.label: row for v, row in zip(diagram.vectors, ints)}
+    vectors = {lab: diagram.int_vector(lab) for lab in labels}
     candidates = []
     for subset in combinations(labels, m - 1):
         reduced, pivots, den = rref([vectors[lab] for lab in subset])

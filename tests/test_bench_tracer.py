@@ -59,6 +59,22 @@ def test_tracer_counts_linalg_layers():
         assert tracer.calls[name] >= 1, name
 
 
+def test_tracer_counts_spanning_check_of_small_m_transform():
+    # with m = n-d-1 < d the diagram's spanning check decides general
+    # position, and the benchmark's gale.spanning_checks metric reads it
+    drawn = random_config(10, 6, 3, 1000)
+    config = PointConfig(drawn.dimension, drawn.points)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        galecross.gale.gale_transform(config)
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["gale.verify_spanning"] == 1
+
+
 def test_tracer_counts_schedule_steps_and_fallbacks():
     # the benchmark reads fallback_count() off every traced schedule; no
     # schedule step is a fallback, so the ratio it reports stays 0

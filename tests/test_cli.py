@@ -81,6 +81,22 @@ def test_gale_diagram_output(tmp_path, capsys):
     assert len(payload["vectors"]) == 7
 
 
+def test_gale_degenerate_small_m_exit_2(tmp_path, capsys):
+    # 7 points in R^4 (m = 2 < d): p7 is the centroid of p2, p3, p4, p6 on
+    # the moment curve, so the diagram does not span, and the error still
+    # names the first affinely dependent 5-subset
+    rows = [(f"p{t}", tuple(t**j for j in range(1, 5))) for t in range(1, 7)]
+    centroid = tuple(Fraction(sum(t**j for t in (2, 3, 4, 6)), 4) for j in range(1, 5))
+    path = write_config(tmp_path, config_from(4, rows + [("p7", centroid)]))
+    code, stdout, stderr = run(capsys, "gale", "--in", path)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        "error: configuration is not in general position: "
+        "affinely dependent subset ['p2', 'p3', 'p4', 'p6', 'p7']"
+    ]
+
+
 def test_cross_witness_json(tmp_path, capsys, cyclic_square):
     path = write_config(tmp_path, cyclic_square)
     code, stdout, _ = run(capsys, "cross", "--in", path, "--a", "p1,p3", "--b", "p2,p4", "--json")

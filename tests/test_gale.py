@@ -1,15 +1,25 @@
 import random
+import re
+import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+import galecross.configs
+import galecross.gale
 from conftest import config_from
 from galecross import (
     GaleDiagram,
     LabeledPoint,
     LinearSeparation,
+    PointConfig,
     SimplexPair,
+    enumerate_separations,
     gale_transform,
+    is_general_position,
     is_realizable,
     moment_curve_config,
     random_config,
@@ -20,6 +30,7 @@ from galecross import (
     verify_spanning,
 )
 from galecross.errors import InvalidInputError
+from oracles import fraction_degenerate_subset, fraction_kernel_basis, fraction_rref
 
 F = Fraction
 
@@ -201,3 +212,131 @@ def test_separation_to_crossing_errors(zigzag_square):
     unreal = LinearSeparation(frozenset({"p1", "p2"}), frozenset({"p3", "p4"}), (F(1),))
     with pytest.raises(InvalidInputError, match="realizable"):
         separation_to_crossing(dia, unreal)
+
+
+# small values of either sign and mixed denominators, so that repeated values
+# make dependent subsets common
+COORD_POOL = [F(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1/3", "1", "3/2", "2", "5")]
+
+
+@st.composite
+def transform_inputs(draw):
+    """A fresh configuration of d+m+1 points in R^d with d in 1..5 and m in
+    1..3, so that both m < d and m >= d occur, labeled in a shuffled order.
+    Some draws put every point on one hyperplane (a shared last coordinate),
+    so that the points do not affinely span R^d."""
+    d = draw(st.integers(1, 5))
+    n = d + draw(st.integers(1, 3)) + 1
+    labels = draw(st.permutations([f"p{i}" for i in range(1, n + 1)]))
+    rows = draw(
+        st.lists(st.tuples(*[st.sampled_from(COORD_POOL)] * d), min_size=n, max_size=n)
+    )
+    if draw(st.integers(0, 4)) == 0:
+        level = draw(st.sampled_from(COORD_POOL))
+        rows = [row[:-1] + (level,) for row in rows]
+    return PointConfig(d, tuple(LabeledPoint(lab, row) for lab, row in zip(labels, rows)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transform_inputs())
+def test_transform_accepts_exactly_general_position(cfg):
+    # the diagram side (m < d) and the point side (m >= d) against the
+    # Fraction rank of every affine (d+1)-subset
+    n, d = cfg.n, cfg.dimension
+    want = fraction_degenerate_subset([(p.label, p.coords) for p in cfg.points], d)
+    flat = len(fraction_rref([[*p.coords, 1] for p in cfg.points])[1]) < d + 1
+    kind = "flat" if flat else "degenerate" if want else "general position"
+    event(f"{'m < d' if n - d - 1 < d else 'm >= d'}, {kind}")
+    if want is None:
+        dia = gale_transform(cfg)
+        lift = [[p.coords[k] for p in cfg.points] for k in range(d)] + [[1] * n]
+        basis = fraction_kernel_basis(lift, n)
+        assert dia.m == n - d - 1 == len(basis)
+        assert [v.coords for v in dia.vectors] == [tuple(b[i] for b in basis) for i in range(n)]
+    else:
+        with pytest.raises(InvalidInputError, match=re.escape(f"subset {list(want)}")):
+            gale_transform(cfg)
+
+
+@st.composite
+def rational_diagrams(draw):
+    """Diagrams with m in 1..4, rational coordinates and small values, so
+    that dependent m-subsets are common."""
+    m = draw(st.integers(1, 4))
+    n = m + draw(st.integers(0, 3)) + 1
+    coord = st.integers(-2, 2).map(F) | st.fractions(-3, 3, max_denominator=6)
+    rows = draw(st.lists(st.tuples(*[coord] * m), min_size=n, max_size=n))
+    return GaleDiagram(
+        m, n - m - 1, tuple(LabeledPoint(f"g{i + 1}", row) for i, row in enumerate(rows))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rational_diagrams())
+def test_spanning_matches_fraction_rank_oracle(dia):
+    want = all(
+        len(fraction_rref(rows)[1]) == dia.m
+        for rows in combinations([v.coords for v in dia.vectors], dia.m)
+    )
+    event("spanning" if want else "not spanning")
+    assert verify_spanning(dia) == want
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_small_m_transform_leaves_point_scan_unset(monkeypatch):
+    # 10 points in R^6 (m = 3): the diagram's 3 x 3 determinants decide
+    # general position, and the configuration stores no scan, so a later
+    # is_general_position still makes the affine side's own determinants
+    dets = _counting(monkeypatch, galecross.configs, "det")
+    spans = _counting(monkeypatch, galecross.gale, "verify_spanning")
+    drawn = random_config(10, 6, 3, 1000)
+    dets.clear()
+    cfg = PointConfig(drawn.dimension, drawn.points)
+    assert gale_transform(cfg) == gale_transform(drawn)
+    assert len(spans) == 1  # drawn holds its scan, so only cfg is checked
+    assert dets == []
+    assert "_degenerate_subset" not in cfg.__dict__
+    assert is_general_position(cfg)
+    assert len(dets) == comb(10, 7)
+    # m >= d: the point side decides, and the diagram is not checked
+    spans.clear()
+    gale_transform(moment_curve_config(7, 3))
+    assert spans == []
+
+
+def test_diagram_clears_its_vectors_once(monkeypatch):
+    # verify_spanning, enumerate_separations and separation_to_crossing all
+    # read one int form per diagram instance
+    cfg = random_config(8, 4, 5, 1000)
+    dia = GaleDiagram.from_json_obj(gale_transform(cfg).to_json_obj())
+    assert any(x.denominator > 1 for v in dia.vectors for x in v.coords)
+    vectors = [v.coords for v in dia.vectors]
+    calls = []
+    for module in [m for key, m in sys.modules.items() if key.startswith("galecross.")]:
+        clear = getattr(module, "clear_denominators", None)
+        if clear is None:
+            continue
+
+        def counting(rows, clear=clear):
+            if any(row is v for row in rows for v in vectors):
+                calls.append(rows)
+            return clear(rows)
+
+        monkeypatch.setattr(module, "clear_denominators", counting)
+    assert verify_spanning(dia)
+    seps = enumerate_separations(dia, (4, 4))
+    assert seps == enumerate_separations(dia, (4, 4))
+    for sep in seps:
+        separation_to_crossing(dia, sep)
+    assert len(calls) == 1
