@@ -216,6 +216,17 @@ def is_general_position(config: PointConfig) -> bool:
     return find_degenerate_subset(config) is None
 
 
+def require_general_position(config: PointConfig) -> None:
+    """Raise InvalidInputError naming the first affinely dependent subset,
+    unless the configuration is in general position."""
+    bad = find_degenerate_subset(config)
+    if bad is not None:
+        raise InvalidInputError(
+            f"configuration is not in general position: "
+            f"affinely dependent subset {sorted(bad)}"
+        )
+
+
 def lift_odd(config: PointConfig) -> PointConfig:
     """Embed one dimension up: append coordinate 0 to every point and add one
     apex point "dummy" at (0, ..., 0, 1).

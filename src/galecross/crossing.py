@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .configs import PointConfig, SimplexPair, find_degenerate_subset
+from .configs import PointConfig, SimplexPair, require_general_position
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import clear_denominators
 from .lp import OPTIMAL, lp_max_min
@@ -140,8 +140,8 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     res = lp_max_min(rows, [0] * config.dimension + [scale, scale])
     if res.status != OPTIMAL or res.objective <= 0:
         return None
-    lam = res.solution[:nl]
-    mu = res.solution[nl:]
+    solution = res.solution
+    lam, mu = solution[:nl], solution[nl:]
     point = _certified_point(lcols, rcols, scale, lam, mu)
     if point is None:
         raise TheoremViolationError(
@@ -154,6 +154,19 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     return CrossingWitness(pair, point, mu, lam)
 
 
+def _disjoint_pairs(config: PointConfig, p: int, q: int):
+    """Disjoint label tuples (I, J), |I| = p and |J| = q, in lexicographic
+    order; a p = q pair comes once, with the smaller first label in I."""
+    labels = sorted(config.labels())
+    for left in combinations(labels, p):
+        taken = set(left)
+        rest = [lab for lab in labels if lab not in taken]
+        for right in combinations(rest, q):
+            if p == q and right[0] < left[0]:
+                continue
+            yield left, right
+
+
 def count_crossing_pairs(
     config: PointConfig, p: int, q: int, keep_witnesses: bool = False
 ) -> CrossingCount:
@@ -161,28 +174,17 @@ def count_crossing_pairs(
     disjoint vertex sets; unordered, so p = q pairs are counted once."""
     if p < 1 or q < 1 or p + q > config.n:
         raise InvalidInputError(f"part sizes ({p},{q}) do not fit {config.n} points")
-    bad = find_degenerate_subset(config)
-    if bad is not None:
-        raise InvalidInputError(
-            f"configuration is not in general position: "
-            f"affinely dependent subset {sorted(bad)}"
-        )
-    labels = sorted(config.labels())
+    require_general_position(config)
     total = 0
     crossing = 0
     witnesses = []
-    for left in combinations(labels, p):
-        taken = set(left)
-        rest = [lab for lab in labels if lab not in taken]
-        for right in combinations(rest, q):
-            if p == q and right[0] < left[0]:
-                continue
-            total += 1
-            w = simplices_cross(config, left, right)
-            if w is not None:
-                crossing += 1
-                if keep_witnesses:
-                    witnesses.append(w)
+    for left, right in _disjoint_pairs(config, p, q):
+        total += 1
+        w = simplices_cross(config, left, right)
+        if w is not None:
+            crossing += 1
+            if keep_witnesses:
+                witnesses.append(w)
     return CrossingCount(config.config_id(), (p, q), total, crossing, tuple(witnesses))
 
 
@@ -200,17 +202,11 @@ def vkf_find(config: PointConfig) -> CrossingWitness:
     k = d // 2
     if config.n != 2 * k + 3:
         raise InvalidInputError(f"need exactly {2 * k + 3} points in R^{d}, got {config.n}")
-    labels = sorted(config.labels())
     size = k + 1
-    for left in combinations(labels, size):
-        taken = set(left)
-        rest = [lab for lab in labels if lab not in taken]
-        for right in combinations(rest, size):
-            if right[0] < left[0]:
-                continue
-            w = simplices_cross(config, left, right)
-            if w is not None:
-                return w
+    for left, right in _disjoint_pairs(config, size, size):
+        w = simplices_cross(config, left, right)
+        if w is not None:
+            return w
     raise TheoremViolationError(
         f"no crossing ({size},{size})-pair among {config.n} points in R^{d}: "
         "THEOREM_VIOLATION (degenerate beyond repair, or a bug)"

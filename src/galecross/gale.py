@@ -6,6 +6,8 @@ The canonical kernel basis of M, read off column by column, gives n labeled
 vectors in R^m: the diagram. The key duality: strict origin-hyperplane
 bipartitions of the diagram correspond to vertex-disjoint simplex pairs of the
 source whose relative interiors meet, with matching part sizes.
+separation_to_crossing certifies a bipartition by arithmetic on its stored
+witness normal; this module solves no LP.
 
 General position is tested on whichever side of Gale duality has the smaller
 matrices. When the points affinely span R^d, a (d+1)-subset of them is
@@ -42,13 +44,12 @@ from .configs import (
     LabeledPoint,
     PointConfig,
     SimplexPair,
-    find_degenerate_subset,
     is_general_position,
+    require_general_position,
 )
 from .errors import InvalidInputError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import ONE, ZERO, clear_denominators, int_det, kernel_basis, rank
-from .lp import OPTIMAL, lp_max_min
+from .linalg import clear_denominators, int_det, kernel_basis, rank
 from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 
@@ -176,7 +177,7 @@ class LinearSeparation:
         if swap:
             # flip the normal so side_a stays the positive side
             shifts = tuple((lab, -s) for lab, s in shifts)
-            normal = _negate(normal)
+            normal = tuple(-x for x in normal)
         object.__setattr__(self, "witness_shifts", shifts)
         object.__setattr__(self, "witness_normal", normal)
 
@@ -206,10 +207,6 @@ def proper_sizes(n: int) -> tuple[int, int]:
     return (n // 2, (n + 1) // 2)
 
 
-def _negate(v):
-    return tuple(-x for x in v)
-
-
 def gale_transform(config: PointConfig) -> GaleDiagram:
     """Canonical diagram of a general-position configuration with n >= d+2.
 
@@ -224,12 +221,7 @@ def gale_transform(config: PointConfig) -> GaleDiagram:
         diagram = _kernel_diagram(config)
         if diagram is not None and verify_spanning(diagram):
             return diagram
-    bad = find_degenerate_subset(config)
-    if bad is not None:
-        raise InvalidInputError(
-            f"configuration is not in general position: "
-            f"affinely dependent subset {sorted(bad)}"
-        )
+    require_general_position(config)
     return _kernel_diagram(config)
 
 
@@ -272,25 +264,6 @@ def verify_duality(config: PointConfig) -> bool:
     return left == right
 
 
-def is_realizable(diagram: GaleDiagram, separation: LinearSeparation) -> bool:
-    """Independent re-check: does some hyperplane through the origin strictly
-    separate side_a from side_b? Decided by an exact LP that ignores the
-    stored witness.
-
-    Let W have rows +g for side_a and -g for side_b. Some h has W h > 0 iff
-    the range of W holds a positive vector x, and the range of W is the set
-    of x orthogonal to the kernel of W^T. So the partition is realizable iff
-    max t subject to (kernel of W^T) x = 0, sum(x) = 1 and every x_i >= t has
-    an optimum t > 0; by Gordan's alternative, t <= 0 exactly when the origin
-    lies in the convex hull of the rows of W."""
-    rows = [diagram.vector(lab) for lab in sorted(separation.side_a)]
-    rows += [_negate(diagram.vector(lab)) for lab in sorted(separation.side_b)]
-    aeq = kernel_basis(list(zip(*rows)))
-    aeq.append([ONE] * len(rows))
-    res = lp_max_min(aeq, [ZERO] * (len(aeq) - 1) + [ONE])
-    return res.status == OPTIMAL and res.objective > 0
-
-
 def separation_classifies(diagram: GaleDiagram, separation: LinearSeparation) -> bool:
     """Direct sign audit of the stored witness: the normal must classify every
     off-plane vector strictly, and every on-plane vector must appear in
@@ -328,7 +301,7 @@ def separation_to_crossing(diagram: GaleDiagram, separation: LinearSeparation) -
     is complete for the witnesses the library emits on spanning diagrams,
     whose at most m-1 on-plane vectors are independent. A hand-built
     separation whose stored witness is wrong is rejected even when some other
-    normal would realize it; is_realizable decides that question."""
+    normal would realize it."""
     labels = set(diagram.labels())
     if set(separation.side_a) | set(separation.side_b) != labels:
         raise InvalidInputError("separation labels do not match the diagram")

@@ -11,24 +11,23 @@ Public surface:
   simplex_max -- maximize c.x subject to a x = b, x >= 0.
   lp_max_min  -- lp_max_min(aeq, b): maximize t subject to aeq x = b and
                  x_i >= t (x otherwise free), where aeq is a sequence of
-                 equal-length rows and has as many rows as b has entries. The
-                 package's one reduction to simplex_max: both the crossing
-                 predicate and the realizability check gale.is_realizable are
-                 stated as lp_max_min programs.
+                 equal-length rows, one per entry of b. Its one caller is
+                 the crossing predicate, crossing.simplices_cross.
 
 simplex_max takes ints and Fractions as they come (anything else is refused
 once per LP) and clears the denominators of a Fraction input. Ints become
 Fractions only on the way out: the objective is one Fraction, and the
-solution stays int numerators over the final tableau's denominator until
-LpResult.solution is first read. lp_max_min shifts those numerators by t
-before any Fraction exists, so a caller that reads only the status and the
-objective (the crossing predicate on a non-crossing pair) makes no solution
-Fraction at all.
+solution stays int numerators over the final tableau's denominator, and
+reading LpResult.solution builds its Fractions. lp_max_min shifts those
+numerators by t before any Fraction exists, so a caller that reads only the
+status and the objective (the crossing predicate on a non-crossing pair)
+makes no solution Fraction at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .linalg import clear_denominators
@@ -38,48 +37,20 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class LpResult:
-    """An LP's status and, when optimal, its objective and solution.
+class LpResult(NamedTuple):
+    """An LP's status and, when optimal, its objective and its solution as
+    int numerators over one denominator."""
 
-    LpResult(status, objective, solution) holds them as given. The solvers
-    instead keep the solution as int numerators over one denominator and
-    build its Fractions on the first read of `solution`."""
-
-    __slots__ = ("status", "objective", "_solution", "_numerators", "_den")
-
-    def __init__(self, status, objective=None, solution=None):
-        self.status = status
-        self.objective = objective
-        self._solution = solution
-        self._numerators = None
-        self._den = 1
-
-    @classmethod
-    def _optimal(cls, objective, numerators, den) -> "LpResult":
-        res = cls(OPTIMAL, objective)
-        res._numerators = numerators
-        res._den = den
-        return res
+    status: str
+    objective: Fraction | None = None
+    numerators: list[int] | None = None
+    den: int = 1
 
     @property
     def solution(self) -> tuple[Fraction, ...] | None:
-        if self._solution is None and self._numerators is not None:
-            self._solution = tuple(Fraction(v, self._den) for v in self._numerators)
-        return self._solution
-
-    def _key(self):
-        return (self.status, self.objective, self.solution)
-
-    def __eq__(self, other):
-        if not isinstance(other, LpResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "LpResult(status={!r}, objective={!r}, solution={!r})".format(*self._key())
+        if self.numerators is None:
+            return None
+        return tuple(Fraction(v, self.den) for v in self.numerators)
 
 
 def _optimize(tab, basis, den, cost):
@@ -191,7 +162,7 @@ def simplex_max(c, a, b) -> LpResult:
     for bi, row in zip(basis, tab):
         x[bi] = row[-1]
     objective = Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, tab)), den * scale)
-    return LpResult._optimal(objective, x, den)
+    return LpResult(OPTIMAL, objective, x, den)
 
 
 def lp_max_min(aeq, b) -> LpResult:
@@ -214,6 +185,6 @@ def lp_max_min(aeq, b) -> LpResult:
     if res.status != OPTIMAL:
         return res
     # the objective is t+ - t-, so t is their numerators' difference over den
-    y = res._numerators
+    y = res.numerators
     t = y[n] - y[n + 1]
-    return LpResult._optimal(res.objective, [v + t for v in y[:n]], res._den)
+    return LpResult(OPTIMAL, res.objective, [v + t for v in y[:n]], res.den)

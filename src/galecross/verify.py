@@ -281,11 +281,20 @@ def verify_schedule_pipeline(d: int, trials: int, seed: int) -> VerificationRepo
 
 
 def check_vkf(config: PointConfig) -> str:
+    """vkf_find's witness has k+1 labels a side. More than EXHAUSTIVE_BUDGET
+    pairs are refused before the first LP, other shapes by vkf_find."""
+    n, d = config.n, config.dimension
+    size = d // 2 + 1
+    if d % 2 == 0 and n == d + 3:
+        pairs = math.comb(n, size) * math.comb(n - size, size) // 2
+        if pairs > EXHAUSTIVE_BUDGET:
+            raise InvalidInputError(
+                f"budget exceeded: {pairs} ({size},{size})-pairs > {EXHAUSTIVE_BUDGET}"
+            )
     witness = vkf_find(config)
-    k = config.dimension // 2
     sizes = tuple(sorted((len(witness.pair.left), len(witness.pair.right))))
-    if sizes != (k + 1, k + 1):
-        return f"witness sizes {sizes} != ({k + 1}, {k + 1})"
+    if sizes != (size, size):
+        return f"witness sizes {sizes} != ({size}, {size})"
     return ""
 
 

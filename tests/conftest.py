@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from galecross import LabeledPoint, PointConfig
+from oracles import separable_sides
 
 
 def config_from(dimension, rows):
@@ -15,6 +16,13 @@ def config_from(dimension, rows):
         LabeledPoint(label, tuple(Fraction(c) for c in coords)) for label, coords in rows
     )
     return PointConfig(dimension, points)
+
+
+def oracle_realizable(diagram, separation):
+    """Whether some origin hyperplane strictly separates the separation's two
+    sides of the diagram, decided by oracles.separable_sides."""
+    vectors = {v.label: v.coords for v in diagram.vectors}
+    return separable_sides(vectors, separation.side_a, separation.side_b)
 
 
 def with_pivots(module, name, solve):

@@ -190,6 +190,16 @@ def fm_separable(vectors):
     return not (status == OPTIMAL and t >= 0)
 
 
+def separable_sides(vectors, side_a, side_b):
+    """Whether some hyperplane through the origin has every vector of side_a
+    strictly on its positive side and every vector of side_b strictly on its
+    negative side: fm_separable on the side_a vectors and the negated side_b
+    vectors. `vectors` maps each label to its vector."""
+    return fm_separable(
+        [vectors[lab] for lab in side_a] + [[-x for x in vectors[lab]] for lab in side_b]
+    )
+
+
 def sampled_separations(labeled_vectors, sizes, samples, seed, spread=1000):
     """Proper separations of labeled vectors found by random normal probing.
 

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from conftest import config_from
+from conftest import config_from, oracle_realizable
 from galecross import (
     HamSandwichInstance,
     PointConfig,
@@ -23,7 +23,6 @@ from galecross import (
     gale_transform,
     ham_sandwich_cut,
     is_general_position,
-    is_realizable,
     random_config,
     simplices_cross,
     verify_bijection,
@@ -218,13 +217,13 @@ def test_oracle_agreement():
         labeled = [(lab, dia.vector(lab)) for lab in dia.labels()]
         sampled = sampled_separations(labeled, sizes, samples=10_000, seed=70_000 + i)
         covered += sampled <= enumerated
-        realizable += all(is_realizable(dia, s) for s in seps)
+        realizable += all(oracle_realizable(dia, s) for s in seps)
         diagrams += 1
     ok = agreed == 200 and covered == diagrams and realizable == diagrams
     detail = (
         f"{agreed}/200 predicate verdicts match the elimination oracle; "
         f"{covered}/{diagrams} diagrams: sampled separations all enumerated, "
-        f"{realizable}/{diagrams}: every enumerated separation passes the strict LP"
+        f"{realizable}/{diagrams}: every enumerated separation passes the Gordan oracle"
     )
     return ok, detail
 

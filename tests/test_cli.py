@@ -611,6 +611,17 @@ def test_verify_fixed_scan_over_budget_exit_2(tmp_path, capsys, what):
     assert elapsed < 1
 
 
+def test_verify_vkf_fixed_pairs_over_budget_exit_2(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--kind", "moment", "--n", "15", "--d", "12", "-o", str(pts))
+    # C(15,13) = 105 determinants pass, but vkf_find may try
+    # C(15,7) * C(8,7) / 2 = 25740 pairs (was 38 s and exit 0)
+    code, stderr, elapsed = _timed(capsys, "verify", "vkf", "--fixed", str(pts))
+    assert code == 2
+    assert "budget exceeded" in stderr and "25740" in stderr
+    assert elapsed < 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import galecross.configs
 import galecross.gale
-from conftest import config_from
+from conftest import config_from, oracle_realizable
 from galecross import (
     GaleDiagram,
     LabeledPoint,
@@ -20,7 +20,6 @@ from galecross import (
     enumerate_separations,
     gale_transform,
     is_general_position,
-    is_realizable,
     moment_curve_config,
     random_config,
     separation_classifies,
@@ -158,11 +157,11 @@ def test_classifies_and_realizable(zigzag_square):
     dia = gale_transform(zigzag_square)
     good = LinearSeparation(frozenset({"p1", "p4"}), frozenset({"p2", "p3"}), (F(1),))
     assert separation_classifies(dia, good)
-    assert is_realizable(dia, good)
+    assert oracle_realizable(dia, good)
     # mixed signs on one side: no witness normal exists in rank 1
     bad = LinearSeparation(frozenset({"p1", "p2"}), frozenset({"p3", "p4"}), (F(1),))
     assert not separation_classifies(dia, bad)
-    assert not is_realizable(dia, bad)
+    assert not oracle_realizable(dia, bad)
 
 
 def test_classifies_rejects_unlisted_on_plane_vector():
@@ -186,7 +185,7 @@ def test_classifies_rejects_unlisted_on_plane_vector():
         (("g3", -1), ("g4", 1)),
     )
     assert separation_classifies(dia, listed)
-    assert is_realizable(dia, listed)
+    assert oracle_realizable(dia, listed)
 
 
 def test_separation_to_crossing(zigzag_square):

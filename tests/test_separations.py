@@ -14,7 +14,6 @@ from galecross import (
     enumerate_separations,
     gale_transform,
     ham_sandwich_cut,
-    is_realizable,
     moment_curve_config,
     random_config,
     schedule_blocks,
@@ -36,11 +35,12 @@ from galecross.separations import (
     _spreads,
     _within_block_pairs,
 )
+from conftest import oracle_realizable
 from oracles import (
-    fm_separable,
     fraction_bisects,
     fraction_candidate_scan,
     sampled_separations,
+    separable_sides,
 )
 
 F = Fraction
@@ -83,7 +83,7 @@ def test_enumerated_separations_are_sound():
         for sep in seps:
             assert set(sep.sizes()) == set(sizes)
             assert separation_classifies(dia, sep)
-            assert is_realizable(dia, sep)
+            assert oracle_realizable(dia, sep)
             separation_to_crossing(dia, sep)  # must not raise
 
 
@@ -220,17 +220,20 @@ def test_stored_signs_bisect_like_dot_products(dia, data):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(small_diagrams())
-def test_is_realizable_matches_gordan_oracle(dia):
+def test_enumeration_matches_gordan_oracle(dia):
+    # on a spanning diagram the enumeration of every split size finds exactly
+    # the bipartitions that some origin hyperplane separates strictly
+    assume(verify_spanning(dia))
     labels = sorted(dia.labels())
-    for k in range(1, len(labels)):
+    vectors = dict(_labeled(dia))
+    for k in range(1, len(labels) // 2 + 1):
+        seps = enumerate_separations(dia, (k, len(labels) - k))
+        separable = set()
         for side in combinations(labels, k):
-            if labels[0] not in side:
-                continue  # each unordered bipartition once
-            rest = [lab for lab in labels if lab not in side]
-            sep = LinearSeparation(frozenset(side), frozenset(rest), (F(1),) * dia.m)
-            signed = [dia.vector(lab) for lab in side]
-            signed += [tuple(-x for x in dia.vector(lab)) for lab in rest]
-            assert is_realizable(dia, sep) == fm_separable(signed)
+            rest = frozenset(labels).difference(side)
+            if separable_sides(vectors, side, rest):
+                separable.add(frozenset({frozenset(side), rest}))
+        assert {frozenset(s.partition()) for s in seps} == separable
 
 
 def test_stored_witness_certifies_enumerated_separations():
@@ -258,7 +261,7 @@ def test_dependent_on_plane_witness_rejected():
         frozenset({"g1", "g3"}), frozenset({"g2", "g4"}), (F(0), F(1)), (("g1", 1), ("g2", -1))
     )
     assert separation_classifies(dia, sep)
-    assert not is_realizable(dia, sep)
+    assert not oracle_realizable(dia, sep)
     with pytest.raises(InvalidInputError, match="realizable"):
         separation_to_crossing(dia, sep)
 

@@ -1,5 +1,6 @@
 import pytest
 
+import galecross.verify
 from galecross import (
     moment_curve_config,
     verify_bijection,
@@ -19,6 +20,7 @@ from galecross.verify import (
     check_eight_points,
     check_pipeline,
     check_planar,
+    check_vkf,
     fixed_report,
 )
 from oracles import pascal
@@ -83,6 +85,28 @@ def test_vkf_small_run():
     assert rep.ok() and rep.passes == 5
     with pytest.raises(InvalidInputError):
         verify_vkf(4, trials=1, seed=0)
+
+
+def test_vkf_pair_budget(monkeypatch):
+    # shapes vkf_find refuses keep its own errors, before any budget
+    with pytest.raises(InvalidInputError, match="even dimension"):
+        check_vkf(moment_curve_config(40, 21))
+    with pytest.raises(InvalidInputError, match="need exactly 23 points"):
+        check_vkf(moment_curve_config(40, 20))
+
+    class Reached(Exception):
+        pass
+
+    def reached(config):
+        raise Reached
+
+    monkeypatch.setattr(galecross.verify, "vkf_find", reached)
+    # k = 5: C(13,6) * C(7,6) / 2 = 6006 pairs, within the budget
+    with pytest.raises(Reached):
+        check_vkf(moment_curve_config(13, 10))
+    # k = 6: 25740 pairs, refused before the search
+    with pytest.raises(InvalidInputError, match="budget exceeded: 25740"):
+        check_vkf(moment_curve_config(15, 12))
 
 
 def test_planar_fixed_configs(cyclic_square, triangle_with_center):
