@@ -55,6 +55,11 @@ def _labels(text: str) -> list[str]:
     out = [part.strip() for part in text.split(",") if part.strip()]
     if not out:
         raise InvalidInputError(f"empty label list: {text!r}")
+    seen = set()
+    for lab in out:
+        if lab in seen:
+            raise InvalidInputError(f"label {lab!r} repeated in label list {text!r}")
+        seen.add(lab)
     return out
 
 

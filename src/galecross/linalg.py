@@ -6,7 +6,12 @@ the first row, so a matrix with no rows has no columns. Entries are Fractions
 or ints; every result is exact either way. clear_denominators is the one rule
 that turns rational rows into int rows; det and rref clear once and then
 eliminate fraction-free on Python ints; int_det is det's integer core, for
-callers that already hold int rows. Everything here is deterministic.
+callers that already hold int rows: the diagram's spanning check and the
+candidate scan in separations, whose normals are the cofactor vectors of
+their subsets, made of (m-1) x (m-1) minors. int_det answers n <= 2 in
+closed form (so the minors of the m = 3 scan cost one product difference)
+and runs Bareiss elimination beyond. rref serves rank and kernel_basis.
+Everything here is deterministic.
 kernel_basis returns the RREF-derived basis (one vector per free column, free
 columns in ascending order), which downstream code treats as *the* canonical
 basis; semantic assertions elsewhere only ever use basis-invariant quantities.
@@ -89,12 +94,18 @@ def det(rows) -> Fraction:
 
 
 def int_det(rows) -> int:
-    """Determinant of a square matrix of ints by Bareiss elimination; every
-    quotient is exact (Bareiss 1968). The caller checks the shape and the
-    entry types."""
+    """Determinant of a square matrix of ints: 1 for the empty matrix, the
+    entry for n = 1, ad - bc for n = 2, and Bareiss elimination beyond, where
+    every quotient is exact (Bareiss 1968). The caller checks the shape and
+    the entry types."""
     n = len(rows)
     if n == 0:
         return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     a = [list(row) for row in rows]
     sign = 1
     prev = 1

@@ -12,10 +12,13 @@ and each public call scans it once.
 
 The scan runs on integers. It reads the diagram's int vectors, scaled once
 per diagram by the lcm of their denominators, which keeps every sign; a
-candidate's normal comes from the integer rref of its subset, and every
-other vector's side from an integer dot product. Each candidate stores its
-plus and minus label sets, so the cut search and the schedules test
-bisection by counting labels in them and compute no further dot product.
+candidate's normal is the cofactor vector of its subset (the signed maximal
+minors of the subset's rows), and every other vector's side is an integer
+dot product with it. Each candidate stores its plus and minus label sets, so
+the cut search and the schedules test bisection by counting labels in them
+and compute no further dot product. A candidate's Fraction normal is made
+only when a separation is built from it, once per candidate, and
+enumeration dedupes partitions before it builds any separation.
 
 Enumeration rests on a rotation argument: any hyperplane strictly separating
 the vectors can be rotated, without any vector changing sides, until it
@@ -58,11 +61,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import GaleDiagram, LinearSeparation, proper_sizes
-from .linalg import rref
+from .linalg import int_det
 
 
 @dataclass(frozen=True)
@@ -127,56 +132,73 @@ class ScheduleTrace:
         }
 
 
-def _oriented_candidates(diagram: GaleDiagram) -> list:
-    """All candidate hyperplanes: for each (m-1)-subset of vectors, the normal
-    of its span plus the strict classification of the remaining vectors, as
-    (on_plane_labels, normal, plus_labels, minus_labels) in lexicographic
-    subset order, with both label sets frozensets; for m = 1 the single
-    candidate is the coordinate axis.
+@dataclass
+class _Candidate:
+    """A candidate hyperplane: the (m-1)-subset of labels it passes through,
+    its integer normal h, and the other labels strictly on its positive and
+    negative side as frozensets. h is the subset's cofactor vector, negated
+    if need be so that its last nonzero entry is positive."""
 
-    The normal is kernel_basis(rows)[0] of the subset's rows, w/den for the
-    integer w with den at the free column and -row_i[free] at the i-th pivot
-    of their rref. A further vector's side is the sign of its integer dot
-    product with w, flipped when den < 0.
+    subset: tuple
+    h: tuple
+    plus: frozenset
+    minus: frozenset
+
+    @cached_property
+    def normal(self) -> tuple[Fraction, ...]:
+        """The one vector of kernel_basis(rows) for the subset's rows: h over
+        its last nonzero entry. That entry sits at the basis's free column,
+        since every later column is a pivot column, where the basis vector
+        is 0."""
+        den = next(c for c in reversed(self.h) if c)
+        return tuple(Fraction(c, den) for c in self.h)
+
+
+def _oriented_candidates(diagram: GaleDiagram) -> list:
+    """All candidate hyperplanes, one _Candidate per (m-1)-subset of labels
+    in lexicographic subset order; for m = 1 the single candidate is the
+    coordinate axis.
+
+    The subset's cofactor vector w has w_j = (-1)^j times the determinant of
+    its int rows without column j. It spans their kernel when they have rank
+    m-1 and is 0 otherwise; for m = 1 it is (1,), the determinant of the
+    empty matrix. A further vector's side is the sign of its integer dot
+    product with w, times the sign of w's last nonzero entry.
 
     The full scan is the spanning check: it raises InvalidInputError when a
-    subset spans fewer than m-1 dimensions (fewer than m-1 pivots) or a
-    further vector lies on its hyperplane, which is exactly when some m-subset
-    has rank below m."""
+    subset spans fewer than m-1 dimensions (w = 0) or a further vector lies
+    on its hyperplane, which is exactly when some m-subset has rank below
+    m."""
     m = diagram.m
     labels = sorted(diagram.labels())
     vectors = {lab: diagram.int_vector(lab) for lab in labels}
     candidates = []
     for subset in combinations(labels, m - 1):
-        reduced, pivots, den = rref([vectors[lab] for lab in subset])
-        if len(pivots) < m - 1:
+        rows = [vectors[lab] for lab in subset]
+        w = [(-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(m)]
+        last = next((c for c in reversed(w) if c), 0)
+        if last == 0:
             raise InvalidInputError(
                 f"subset {subset} does not span {m - 1} dimensions; "
                 "diagram violates the spanning precondition"
             )
-        free = next(j for j in range(m) if j not in pivots)
-        w = [0] * m
-        w[free] = den
-        for row, p in zip(reduced, pivots):
-            w[p] = -row[free]
-        normal = tuple(Fraction(c, den) for c in w)
-        flip = den < 0
+        h = tuple(w) if last > 0 else tuple(-c for c in w)
         plus = []
         minus = []
         for lab in labels:
             if lab in subset:
                 continue
-            d = sum(c * x for c, x in zip(w, vectors[lab]))
+            d = sum(map(mul, h, vectors[lab]))
             if d == 0:
                 raise InvalidInputError(
                     "an extra vector lies on a candidate hyperplane; "
                     "diagram violates the spanning precondition"
                 )
-            if (d > 0) != flip:
+            if d > 0:
                 plus.append(lab)
             else:
                 minus.append(lab)
-        candidates.append((subset, normal, frozenset(plus), frozenset(minus)))
+        candidates.append(_Candidate(subset, h, frozenset(plus), frozenset(minus)))
     return candidates
 
 
@@ -190,19 +212,26 @@ def _assignments(subset):
         )
 
 
-def _sized(candidates, sizes):
-    """Separations with part sizes {s1, s2} (both positive) from each
-    candidate and each sign assignment of its on-plane vectors, in scan order.
-    The sizes are counted first, so only matching separations are built."""
+def _sized_sides(candidates, sizes):
+    """(candidate, positive side, negative side, assignment) for each
+    candidate and each sign assignment of its on-plane vectors that gives
+    part sizes {s1, s2} (both positive), in scan order, with both sides as
+    frozensets. Only sizes are counted here; no separation is built."""
     wanted = set(sizes)
-    for subset, normal, plus, minus in candidates:
+    for candidate in candidates:
+        subset, plus, minus = candidate.subset, candidate.plus, candidate.minus
         n = len(subset) + len(plus) + len(minus)
         for assignment in _assignments(subset):
             up = {lab for lab, sign in assignment if sign > 0}
             a = len(plus) + len(up)
             if {a, n - a} == wanted:
-                down = set(subset) - up
-                yield LinearSeparation(plus | up, minus | down, normal, assignment)
+                yield candidate, plus | up, minus | (set(subset) - up), assignment
+
+
+def _sized(candidates, sizes):
+    """The separations of _sized_sides, in scan order."""
+    for candidate, positive, negative, assignment in _sized_sides(candidates, sizes):
+        yield LinearSeparation(positive, negative, candidate.normal, assignment)
 
 
 def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]:
@@ -217,14 +246,18 @@ def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]
         # a strict hyperplane cannot leave one side empty: the vectors sum to zero
         return []
     out = {}
-    for sep in _sized(_oriented_candidates(diagram), sizes):
-        out.setdefault(sep.partition(), sep)
-    return [out[key] for key in sorted(out, key=_partition_key)]
+    for candidate, positive, negative, assignment in _sized_sides(
+        _oriented_candidates(diagram), sizes
+    ):
+        # only the first occurrence of each partition in scan order is built
+        key = frozenset((positive, negative))
+        if key not in out:
+            out[key] = LinearSeparation(positive, negative, candidate.normal, assignment)
+    return sorted(out.values(), key=_partition_key)
 
 
-def _partition_key(partition):
-    a, b = partition
-    return (tuple(sorted(a)), tuple(sorted(b)))
+def _partition_key(sep):
+    return (tuple(sorted(sep.side_a)), tuple(sorted(sep.side_b)))
 
 
 def _bisects(candidate, inst: HamSandwichInstance) -> bool:
@@ -232,10 +265,9 @@ def _bisects(candidate, inst: HamSandwichInstance) -> bool:
     candidate hyperplane holds at most floor(|class|/2) of it. The sides are
     the candidate's stored plus and minus sets, so its on-plane labels count
     toward neither side."""
-    _, _, plus, minus = candidate
     for cls in (inst.c1, inst.c2):
         bound = len(cls) // 2
-        if len(cls & plus) > bound or len(cls & minus) > bound:
+        if len(cls & candidate.plus) > bound or len(cls & candidate.minus) > bound:
             return False
     return True
 

@@ -113,6 +113,24 @@ def test_cross_negative_exit_1(tmp_path, capsys, cyclic_square):
     assert json.loads(stdout)["crossing"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cross", "--a", "p1,p1", "--b", "p2"),
+        ("hamsandwich", "--c1", "p1,p1,p2", "--c2", "p3"),
+    ],
+    ids=["cross", "hamsandwich"],
+)
+def test_repeated_label_exit_2(tmp_path, capsys, argv):
+    # a repeated label would collapse silently: cross would test {p1}
+    # against {p2} and echo both copies, hamsandwich would bisect a 2-label class
+    path = write_config(tmp_path, moment_curve_config(8, 4))
+    code, stdout, stderr = run(capsys, argv[0], "--in", path, *argv[1:], "--json")
+    assert code == 2
+    assert stdout == ""
+    assert "error: label 'p1' repeated" in stderr
+
+
 def test_count_moment_6_3(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     run(capsys, "gen", "--kind", "moment", "--n", "6", "--d", "3", "-o", str(pts))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galecross.errors import InvalidInputError
-from galecross.linalg import det, kernel_basis, rank, rref
+from galecross.linalg import det, int_det, kernel_basis, rank, rref
 from galecross.lp import lp_max_min
 from oracles import fraction_kernel_basis, fraction_rref
 
@@ -96,6 +96,42 @@ def test_det_matches_leibniz_on_rationals(rows):
     value = det(rows)
     assert type(value) is Fraction
     assert value == det_by_permutations(rows)
+
+
+BIG = 2**200
+
+
+@st.composite
+def int_square_matrices(draw):
+    """Square int matrices of size 0..4, the sizes around int_det's closed
+    forms, with small, negative and 200-bit entries; in half of them the
+    last row is k times the first (a zero row when k = 0), so the matrix is
+    singular."""
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-3, 3) | st.integers(-BIG, BIG) | st.sampled_from([BIG, -BIG])
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 1 and draw(st.booleans()):
+        k = draw(st.integers(-3, 3) | st.just(BIG))
+        rows[-1] = [k * x for x in rows[0]] if n >= 2 else [0]
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(int_square_matrices())
+def test_int_det_matches_leibniz(rows):
+    value = int_det(rows)
+    assert type(value) is int
+    assert value == det_by_permutations(rows)
+
+
+def test_int_det_closed_forms():
+    assert int_det([]) == 1
+    assert int_det([[0]]) == 0
+    assert int_det([[-BIG]]) == -BIG
+    assert int_det([[0, 0], [0, 0]]) == 0
+    assert int_det([[BIG, 1], [BIG, 1]]) == 0
+    assert int_det([[BIG, -1], [1, BIG]]) == BIG * BIG + 1
+    assert int_det([[0, 1], [1, 0]]) == -1
 
 
 def test_det_multiplicative():

@@ -39,6 +39,7 @@ from conftest import oracle_realizable
 from oracles import (
     fraction_bisects,
     fraction_candidate_scan,
+    fraction_kernel_normal,
     sampled_separations,
     separable_sides,
 )
@@ -197,7 +198,7 @@ def _labeled(dia):
 @given(rational_diagrams())
 def test_integer_scan_matches_fraction_oracle(dia):
     try:
-        scan = _oriented_candidates(dia)
+        scan = [(c.subset, c.normal, c.plus, c.minus) for c in _oriented_candidates(dia)]
     except InvalidInputError:
         scan = None
     assert scan == fraction_candidate_scan(_labeled(dia))
@@ -215,7 +216,63 @@ def test_stored_signs_bisect_like_dot_products(dia, data):
     classes = [frozenset(lab for lab, c in zip(labels, colors) if c == k) for k in (1, 2)]
     inst = HamSandwichInstance(dia.m, *classes)
     for candidate in candidates:
-        assert _bisects(candidate, inst) == fraction_bisects(candidate[1], _labeled(dia), classes)
+        assert _bisects(candidate, inst) == fraction_bisects(candidate.normal, _labeled(dia), classes)
+
+
+SPANNING_VIOLATION = "diagram violates the spanning precondition"
+
+
+@st.composite
+def degenerate_diagrams(draw):
+    """Diagrams with m in 1..5, coordinates in [-1, 1] or [-9, 9] and
+    shuffled labels; in half of them one vector is a combination a*u + b*v
+    of two others. Rank-deficient subsets and vectors on candidate
+    hyperplanes are common at every m, zero vectors at m = 1, and spanning
+    diagrams with the wider coordinates."""
+    m = draw(st.integers(1, 5))
+    n = m + draw(st.integers(0, 2)) + 1
+    spread = draw(st.sampled_from([1, 9]))
+    coord = st.integers(-spread, spread)
+    rows = draw(st.lists(st.tuples(*[coord] * m), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = tuple(a * x + b * y for x, y in zip(rows[j], rows[k]))
+    names = draw(st.permutations([f"g{i + 1}" for i in range(n)]))
+    return hand_diagram(m, n - m - 1, list(zip(names, rows)))
+
+
+def _expected_scan_error(labeled_vectors):
+    """The message of the scan's spanning check, read off the Fraction
+    oracle: the first (m-1)-subset in lexicographic order of rank below m-1
+    names itself, and the first one with a further vector on its hyperplane
+    gives the on-plane message. None when the diagram spans."""
+    vectors = dict(labeled_vectors)
+    labels = sorted(vectors)
+    m = len(labeled_vectors[0][1])
+    for subset in combinations(labels, m - 1):
+        normal = fraction_kernel_normal([vectors[lab] for lab in subset], m)
+        if normal is None:
+            return f"subset {subset} does not span {m - 1} dimensions; {SPANNING_VIOLATION}"
+        for lab in labels:
+            if lab not in subset and sum(h * F(x) for h, x in zip(normal, vectors[lab])) == 0:
+                return f"an extra vector lies on a candidate hyperplane; {SPANNING_VIOLATION}"
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(degenerate_diagrams())
+def test_scan_raises_the_first_violation_in_subset_order(dia):
+    expected = _expected_scan_error(_labeled(dia))
+    if expected is None:
+        scan = _oriented_candidates(dia)
+        assert [(c.subset, c.normal, c.plus, c.minus) for c in scan] == (
+            fraction_candidate_scan(_labeled(dia))
+        )
+    else:
+        with pytest.raises(InvalidInputError) as info:
+            _oriented_candidates(dia)
+        assert str(info.value) == expected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
