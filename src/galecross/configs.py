@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError, RetryLimitError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import ONE, clear_denominators, det
+from .linalg import ONE, clear_denominators, det, int_det
 from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 DUMMY_LABEL = "dummy"
@@ -98,27 +98,56 @@ class PointConfig:
         of the affine matrix (each point's coordinates, then a one) from the
         others and expanding along the column of ones shows the affine
         determinant is (-1)^d times it. The differences are taken on the int
-        coordinates, once per first point."""
+        coordinates, once per first point, and the sign of every determinant
+        the scan reaches is kept for orientation()."""
         labels = sorted(self.labels())
         rows = [self.int_coords(lab) for lab in labels]
+        signs = self._orientations
+        d = self.dimension
         for i, first in enumerate(rows):
             diffs = [tuple(x - y for x, y in zip(row, first)) for row in rows[i + 1 :]]
-            for rest in combinations(range(len(diffs)), self.dimension):
-                if det([diffs[j] for j in rest]) == 0:
-                    return (labels[i], *(labels[i + 1 + j] for j in rest))
+            for rest, minor in zip(combinations(labels[i + 1 :], d), combinations(diffs, d)):
+                key = (labels[i], *rest)
+                value = det(minor).numerator
+                signs[key] = (value > 0) - (value < 0)
+                if not value:
+                    return key
         return None
+
+    @cached_property
+    def _orientations(self) -> dict[tuple[str, ...], int]:
+        return {}
+
+    def orientation(self, key: tuple[str, ...]) -> int:
+        """The sign (1, -1 or 0) of det(x_1 - x_0, ..., x_d - x_0) for the
+        points of `key`, a tuple of d+1 distinct labels x_0, ..., x_d in that
+        order: (-1)^d times the sign of their affine determinant, 0 exactly
+        when they are affinely dependent. Read from the general-position scan
+        when it reached `key` (the scan's keys are sorted), else computed once
+        and kept."""
+        sign = self._orientations.get(key)
+        if sign is None:
+            if len(key) != self.dimension + 1 or len(set(key)) != len(key):
+                raise InvalidInputError(
+                    f"orientation needs {self.dimension + 1} distinct labels, got {list(key)}"
+                )
+            first, *rest = map(self.int_coords, key)
+            value = int_det([[x - y for x, y in zip(row, first)] for row in rest])
+            sign = self._orientations[key] = (value > 0) - (value < 0)
+        return sign
 
     def subset(self, labels) -> "PointConfig":
         """Restriction to the given labels, preserving the original order.
 
-        A subset of a configuration already known to be in general position
-        is in general position too (its (d+1)-subsets are the parent's), so
-        it takes that answer without a scan."""
+        A subset's (d+1)-subsets are the parent's, so it shares the parent's
+        orientation signs, and a subset of a configuration already known to
+        be in general position takes that answer without a scan."""
         wanted = set(labels)
         missing = wanted.difference(self._index)
         if missing:
             raise InvalidInputError(f"unknown labels: {sorted(missing)}")
         sub = PointConfig(self.dimension, tuple(p for p in self.points if p.label in wanted))
+        sub.__dict__["_orientations"] = self._orientations
         if "_degenerate_subset" in self.__dict__ and self._degenerate_subset is None:
             sub.__dict__["_degenerate_subset"] = None
         return sub

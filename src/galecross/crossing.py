@@ -2,10 +2,14 @@
 witness search on 2k+3 points in R^{2k}, and extension of a crossing pair to
 larger vertex sets.
 
-Two simplices cross when their relative interiors share a point; with exact
-arithmetic that is the strict positivity of the optimum of a max-min LP over
-the barycentric weights. Boundary contact (optimum exactly 0) is NOT crossing,
-and pairs sharing a vertex are refused outright rather than counted.
+Two simplices cross when their relative interiors share a point. A hyperplane
+through d of their vertices that leaves one vertex set on each closed side,
+and some vertex off it, separates them properly and proves that they do not;
+the configuration's stored orientation signs find one without an LP. Every
+other pair goes to a max-min LP over the barycentric weights, and crosses
+exactly when its optimum is strictly positive. Boundary contact (optimum
+exactly 0) is NOT crossing, and pairs sharing a vertex are refused outright
+rather than counted.
 
 The LP rows and the witness check read the configuration's stored int
 coordinates and scale (PointConfig.int_coords, PointConfig.coord_scale), so
@@ -110,19 +114,71 @@ class ExtensionResult:
     distributions_checked: int
 
 
+def _separated(config: PointConfig, left, right) -> bool | None:
+    """Whether a hyperplane through d points of left + right separates the two
+    sides properly, read off orientation signs; None, without a search, unless
+    d < len(left) + len(right) <= d + 4, so at most C(p+q-1, 3) hyperplanes
+    are tried.
+
+    A d-subset S puts a further point x on side (-1)^i * orientation(S + x),
+    i being x's position in sorted S + x. S separates when every nonzero side
+    is one sign on left and the other on right. A nonzero side means S spans
+    a hyperplane H with that point off H: conv left and conv right lie in
+    opposite closed half-spaces of H and not both in H, so their relative
+    interiors are disjoint (Rockafellar, Convex Analysis, Thm. 11.3). That
+    holds for any points.
+
+    Conversely, let left + right be in general position and affinely span
+    R^d, and let their relative interiors be disjoint. A proper separating
+    hyperplane holds at most d of the points, affinely independent, so the
+    two hulls meet it in disjoint faces and are disjoint: the separating
+    hyperplanes form a full-dimensional pointed cone. Each extreme ray of
+    that cone passes through exactly d of the points, and not all of them
+    through the first point, or the cone would lie in one hyperplane. So S
+    ranges over the d-subsets without the first point, and a pair with no
+    separating S crosses."""
+    d = config.dimension
+    if not d < len(left) + len(right) <= d + 4:
+        return None
+    both = sorted([*left, *right])
+    lefts = set(left)
+    for s in combinations(both[1:], d):
+        seen = 0
+        pos = 0
+        for x in both:
+            if pos < d and s[pos] == x:
+                pos += 1
+                continue
+            side = config.orientation((*s[:pos], x, *s[pos:]))
+            if (x in lefts) == pos % 2:
+                side = -side
+            if side:
+                if seen == -side:
+                    break
+                seen = side
+        else:
+            if seen:
+                return True
+    return False
+
+
 def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     """Witness that relint(conv left) meets relint(conv right), or None.
 
-    Builds the equality system sum lam_i x_i - sum mu_j x_j = 0, sum lam = 1,
-    sum mu = 1 over the concatenated weights and maximizes their minimum; the
-    pair crosses exactly when the optimum is strictly positive. The system
-    goes to the LP in ints: the coordinate rows of the configuration's int
-    coordinates, which are the rational ones times its scale L > 0, and the
-    two weight rows and their right-hand sides times L too. A positive
-    multiple of the rational system gives Bland's rule the same pivots and
-    the LP the same weights. Only a crossing pair reads those weights as
-    Fractions; they are certified on the same ints (_certified_point, as in
-    CrossingWitness.validate), which also gives the witness point."""
+    A pair that _separated proves disjoint is None without an LP. Any other
+    pair builds the equality system sum lam_i x_i - sum mu_j x_j = 0,
+    sum lam = 1, sum mu = 1 over the concatenated weights and maximizes their
+    minimum; the pair crosses exactly when the optimum is strictly positive.
+    A miss of _separated on points in general position means the pair
+    crosses, so an LP that then finds no crossing raises
+    TheoremViolationError. The system goes to the LP in ints: the coordinate
+    rows of the configuration's int coordinates, which are the rational ones
+    times its scale L > 0, and the two weight rows and their right-hand sides
+    times L too. A positive multiple of the rational system gives Bland's
+    rule the same pivots and the LP the same weights. Only a crossing pair
+    reads those weights as Fractions; they are certified on the same ints
+    (_certified_point, as in CrossingWitness.validate), which also gives the
+    witness point."""
     left = sorted(set(left))
     right = sorted(set(right))
     if not left or not right:
@@ -130,6 +186,9 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     shared = set(left) & set(right)
     if shared:
         raise InvalidInputError(f"shared vertex (never a crossing): {sorted(shared)}")
+    separated = _separated(config, left, right)
+    if separated:
+        return None
     nl, nr = len(left), len(right)
     lcols = [config.int_coords(lab) for lab in left]
     rcols = [config.int_coords(lab) for lab in right]
@@ -139,6 +198,13 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     rows.append([0] * nl + [scale] * nr)
     res = lp_max_min(rows, [0] * config.dimension + [scale, scale])
     if res.status != OPTIMAL or res.objective <= 0:
+        if separated is False and all(
+            map(config.orientation, combinations(sorted(left + right), config.dimension + 1))
+        ):
+            raise TheoremViolationError(
+                "no separating hyperplane for a non-crossing pair in general "
+                f"position {left} / {right}: THEOREM_VIOLATION"
+            )
         return None
     solution = res.solution
     lam, mu = solution[:nl], solution[nl:]

@@ -252,6 +252,27 @@ def fraction_rref(rows):
     return a, tuple(pivots)
 
 
+def fraction_affine_sign(points):
+    """Sign (1, -1 or 0) of the determinant of the affine rows of d+1 points
+    in R^d (each point's coordinates, then a one), by Fraction elimination
+    with row swaps."""
+    a = [[Fraction(x) for x in point] + [Fraction(1)] for point in points]
+    sign = 1
+    for col in range(len(a)):
+        found = next((i for i in range(col, len(a)) if a[i][col] != 0), None)
+        if found is None:
+            return 0
+        if found != col:
+            a[col], a[found] = a[found], a[col]
+            sign = -sign
+        if a[col][col] < 0:
+            sign = -sign
+        for i in range(col + 1, len(a)):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return sign
+
+
 def fraction_kernel_basis(rows, width):
     """One null vector of `rows` per free column of their reduced row echelon
     form, free columns ascending: a 1 at its own free column, 0 at the others."""

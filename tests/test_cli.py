@@ -226,6 +226,22 @@ def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, mo
     assert bundle["input"] == cyclic_square.to_json_obj()
 
 
+def test_count_missed_hyperplane_exit_3_with_bundle(tmp_path, capsys, cyclic_square, monkeypatch):
+    # a non-crossing pair in general position with no separating hyperplane
+    # contradicts the search's completeness; the LP's verdict is not taken
+    monkeypatch.setattr(galecross.crossing, "_separated", lambda config, left, right: False)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cyclic_square)
+    code, stdout, stderr = run(capsys, "count", "--in", path, "--sizes", "2,2")
+    assert code == 3
+    assert stdout == ""
+    assert "THEOREM_VIOLATION" in stderr
+    bundle = json.loads((tmp_path / REPRO_BUNDLE).read_text())
+    assert bundle["argv"][0] == "count"
+    assert bundle["error_kind"] == "TheoremViolationError"
+    assert bundle["input"] == cyclic_square.to_json_obj()
+
+
 def test_schedule_miss_exit_3_with_bundle(tmp_path, capsys, monkeypatch):
     # a schedule step without a cut contradicts the splitting lemma; forcing
     # one must surface as a typed invariant breach with a repro bundle

@@ -2,6 +2,7 @@ import json
 import random
 import tempfile
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import galecross.configs
 from conftest import config_from
-from oracles import fraction_degenerate_subset
+from oracles import fraction_affine_sign, fraction_degenerate_subset
 from galecross import (
     GaleDiagram,
     LabeledPoint,
@@ -173,15 +174,42 @@ def test_integer_scan_matches_fraction_rank_oracle(cfg):
     assert find_degenerate_subset(cfg) == want
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pooled_configs())
+def test_orientation_matches_fraction_affine_sign(cfg):
+    # every (d+1)-subset's sign, (-1)^d times the affine determinant's: read
+    # from the scan on one instance and computed on demand on a fresh one,
+    # where the scan stops at a degenerate subset or has not run
+    scanned = PointConfig(cfg.dimension, cfg.points)
+    find_degenerate_subset(scanned)
+    d = cfg.dimension
+    for key in combinations(sorted(cfg.labels()), d + 1):
+        want = (-1) ** d * fraction_affine_sign([cfg.coords(lab) for lab in key])
+        assert cfg.orientation(key) == scanned.orientation(key) == want
+
+
+def test_orientation_refuses_malformed_keys():
+    # d+1 distinct known labels, or a typed error; nothing is kept
+    square = moment_curve_config(4, 2)
+    for key in [("p1", "p2"), ("p1", "p2", "p3", "p4"), ("p1", "p1", "p2"), ()]:
+        with pytest.raises(InvalidInputError, match="3 distinct labels"):
+            square.orientation(key)
+    with pytest.raises(InvalidInputError, match="unknown"):
+        square.orientation(("p1", "p2", "zz"))
+    # an unsorted key is the sign of the points in its own order
+    assert square.orientation(("p2", "p1", "p3")) == -square.orientation(("p1", "p2", "p3")) != 0
+
+
 def _counting_det(monkeypatch):
     calls = []
-    det = galecross.configs.det
+    for name in ("det", "int_det"):
+        det = getattr(galecross.configs, name)
 
-    def counting_det(rows):
-        calls.append(rows)
-        return det(rows)
+        def counting_det(rows, det=det):
+            calls.append(rows)
+            return det(rows)
 
-    monkeypatch.setattr(galecross.configs, "det", counting_det)
+        monkeypatch.setattr(galecross.configs, name, counting_det)
     return calls
 
 
@@ -194,6 +222,10 @@ def test_subset_of_general_position_config_makes_no_det_call(monkeypatch):
     calls.clear()
     sub = cfg.subset(["p2", "p3", "p5", "p7", "p8"])
     assert find_degenerate_subset(sub) is None
+    # its orientation signs are the parent's, kept by the parent's scan
+    for key in combinations(sorted(sub.labels()), 4):
+        assert sub.orientation(key) == cfg.orientation(key) != 0
+    count_crossing_pairs(sub, 2, 3)
     assert calls == []
     # a subset taken before the parent's scan scans on its own
     assert is_general_position(unscanned)

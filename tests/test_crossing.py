@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import galecross.crossing
 import galecross.lp
 import oracles
 from conftest import config_from, with_pivots
@@ -13,13 +15,14 @@ from galecross import (
     SimplexPair,
     count_crossing_pairs,
     extend_crossing,
+    is_general_position,
     lift_odd,
     moment_curve_config,
     random_config,
     simplices_cross,
     vkf_find,
 )
-from galecross.errors import InvalidInputError
+from galecross.errors import InvalidInputError, TheoremViolationError
 from oracles import OPTIMAL, fm_crossing, fraction_simplex_max, pascal, planar_crossing_count
 
 F = Fraction
@@ -306,17 +309,27 @@ def _max_min_weights(lcoords, rcoords):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(rational_pairs())
 def test_crossing_matches_oracles_on_rational_coords(case):
-    # the verdict is Fourier-Motzkin's; the integer rows (all scaled by one
-    # lcm) make the Fraction tableau's pivots, so a crossing's coefficients
-    # are that tableau's vertex also where the optimal weights are not unique
+    # the verdict is Fourier-Motzkin's, and a separating hyperplane is sound
+    # on these points, degenerate ones too; the integer rows (all scaled by
+    # one lcm) make the Fraction tableau's pivots, so a crossing's
+    # coefficients are that tableau's vertex also where the optimal weights
+    # are not unique. A pair certified by a separating hyperplane solves no
+    # LP; its pivots are read from simplices_cross with the search off.
     cfg, left, right = case
     w, pivots = with_pivots(galecross.lp, "_pivot", lambda: simplices_cross(cfg, left, right))
     left, right = sorted(left), sorted(right)
     lcoords = [cfg.coords(lab) for lab in left]
     rcoords = [cfg.coords(lab) for lab in right]
     verdict, _ = fm_crossing(lcoords, rcoords)
-    event(f"crossing: {verdict}")
+    certified = galecross.crossing._separated(cfg, left, right)
+    general = is_general_position(cfg.subset(left + right))
+    event(f"crossing: {verdict}, certified: {certified}, general position: {general}")
+    assert not (certified and verdict)
     assert (w is not None) == verdict
+    if certified:
+        assert pivots == []
+        with patch.object(galecross.crossing, "_separated", lambda config, left, right: None):
+            _, pivots = with_pivots(galecross.lp, "_pivot", lambda: simplices_cross(cfg, left, right))
     (status, t, weights), want_pivots = with_pivots(
         oracles, "_fraction_pivot", lambda: _max_min_weights(lcoords, rcoords)
     )
@@ -333,6 +346,63 @@ def test_crossing_matches_oracles_on_rational_coords(case):
         for k in range(cfg.dimension)
     )
     assert w.validate(cfg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_separating_hyperplane_is_complete_in_general_position(data):
+    # d+1 <= p+q <= d+4 points in general position: a hyperplane is found
+    # exactly for the pairs that Fourier-Motzkin says do not cross
+    d = data.draw(st.integers(2, 4), label="d")
+    n = data.draw(st.integers(d + 1, d + 4), label="n")
+    cfg = random_config(n, d, data.draw(st.integers(0, 10**6), label="seed"), 30)
+    p = data.draw(st.integers(1, n - 1), label="p")
+    q = data.draw(st.integers(max(1, d + 1 - p), n - p), label="q")
+    labels = data.draw(st.permutations(cfg.labels()), label="labels")
+    left, right = labels[:p], labels[p : p + q]
+    verdict, _ = fm_crossing([cfg.coords(x) for x in left], [cfg.coords(x) for x in right])
+    event(f"crossing: {verdict}")
+    assert galecross.crossing._separated(cfg, left, right) == (not verdict)
+
+
+def test_separating_hyperplane_size_rule(monkeypatch):
+    # p + q <= d or p + q > d + 4: no hyperplane is tried and the LP decides
+    def no_orientation(self, key):
+        raise AssertionError("orientation read outside the size rule")
+
+    line = moment_curve_config(6, 1)
+    monkeypatch.setattr(PointConfig, "orientation", no_orientation)
+    assert simplices_cross(line, ["p1", "p2", "p3"], ["p4", "p5", "p6"]) is None
+    assert simplices_cross(moment_curve_config(6, 3), ["p1"], ["p2", "p3"]) is None
+
+
+def test_missed_hyperplane_in_general_position_raises(cyclic_square, monkeypatch):
+    # a non-crossing pair of points in general position always has a
+    # separating hyperplane; a search made to miss one leaves the LP's
+    # "no crossing" uncertified, which is a theorem violation
+    monkeypatch.setattr(galecross.crossing, "_separated", lambda config, left, right: False)
+    with pytest.raises(TheoremViolationError, match="no separating hyperplane"):
+        count_crossing_pairs(cyclic_square, 2, 2)
+    # degenerate points: the LP's verdict stands without a hyperplane
+    collinear = config_from(2, [("p1", (0, 0)), ("p2", (1, 0)), ("p3", (2, 0)), ("p4", (3, 0))])
+    assert simplices_cross(collinear, ["p1", "p2"], ["p3", "p4"]) is None
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_vkf_moment_curve_solves_one_lp(k, monkeypatch):
+    # every pair before the first crossing one is proved disjoint by a
+    # hyperplane, so only the witness pair reaches the LP
+    calls = []
+    simplex_max = galecross.lp.simplex_max
+
+    def counting(*args):
+        calls.append(args)
+        return simplex_max(*args)
+
+    monkeypatch.setattr(galecross.lp, "simplex_max", counting)
+    cfg = moment_curve_config(2 * k + 3, 2 * k)
+    assert vkf_find(cfg).validate(cfg)
+    assert len(calls) == 1
 
 
 def _mapped(cfg, label_map, coord_map):
