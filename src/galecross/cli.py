@@ -41,15 +41,6 @@ from . import verify as verify_ops
 
 REPRO_BUNDLE = "galecross-repro.json"
 
-TRIAL_DEFAULTS = {
-    "bijection": 25,
-    "duality": 100,
-    "eight": 100,
-    "pipeline": 5,
-    "vkf": 50,
-    "planar": 50,
-}
-
 
 def _labels(text: str) -> list[str]:
     out = [part.strip() for part in text.split(",") if part.strip()]
@@ -73,13 +64,6 @@ def _sizes(text: str) -> tuple[int, int]:
         raise InvalidInputError(f"bad sizes {text!r}") from exc
 
 
-def _check_budget(work: int, what: str) -> None:
-    if work > verify_ops.EXHAUSTIVE_BUDGET:
-        raise InvalidInputError(
-            f"budget exceeded: {what} = {work} > {verify_ops.EXHAUSTIVE_BUDGET}"
-        )
-
-
 def _load_any(path: str):
     """Point or diagram file, told apart by their top-level key."""
     obj = load_json(path)
@@ -97,13 +81,6 @@ def _load_config(path: str) -> PointConfig:
     return loaded
 
 
-def _check_gp_budget(n: int, d: int) -> None:
-    """Refuse n points in R^d whose general-position scan, one determinant
-    per (d+1)-subset, would exceed the work budget."""
-    if min(n, d) >= 0:  # negative sizes are refused where they are used
-        _check_budget(comb(n, d + 1), f"C({n},{d + 1}) general-position determinants")
-
-
 def _load_diagram(path: str) -> GaleDiagram:
     """The diagram of a diagram or point file, refused before any scan when
     its candidate hyperplanes times their on-plane assignments, C(n, m-1) *
@@ -115,10 +92,10 @@ def _load_diagram(path: str) -> GaleDiagram:
     m = n - loaded.dimension - 1 if is_config else loaded.m
     if m >= 1:
         work = comb(n, m - 1) * 2 ** (m - 1)
-        _check_budget(work, f"C({n},{m - 1})*2^{m - 1} candidate assignments")
+        verify_ops.require_budget(work, f"candidate assignments C({n},{m - 1})*2^{m - 1}")
     if not is_config:
         return loaded
-    _check_gp_budget(loaded.n, loaded.dimension)
+    verify_ops.require_gp_budget(loaded.n, loaded.dimension)
     return gale_transform(loaded)
 
 
@@ -126,7 +103,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
     if args.kind == "moment":
         config = moment_curve_config(args.n, args.d)
     else:
-        _check_gp_budget(args.n, args.d)
+        verify_ops.require_gp_budget(args.n, args.d)
         config = random_config(args.n, args.d, args.seed, args.coord_range)
     summary = (
         f"{args.kind} configuration {config.config_id()}: "
@@ -137,7 +114,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
 
 def _cmd_check(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    _check_gp_budget(config.n, config.dimension)
+    verify_ops.require_gp_budget(config.n, config.dimension)
     found = find_degenerate_subset(config)
     bad = None if found is None else sorted(found)
     gp = bad is None
@@ -155,7 +132,7 @@ def _cmd_check(args) -> tuple[dict, str, int]:
 
 def _cmd_gale(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    _check_gp_budget(config.n, config.dimension)
+    verify_ops.require_gp_budget(config.n, config.dimension)
     diagram = gale_transform(config)
     summary = f"diagram: {diagram.source_n} vectors in R^{diagram.m}"
     return diagram.to_json_obj(), summary, 0
@@ -173,12 +150,12 @@ def _cmd_cross(args) -> tuple[dict, str, int]:
 
 def _cmd_count(args) -> tuple[dict, str, int]:
     config = _load_config(args.infile)
-    _check_gp_budget(config.n, config.dimension)
+    verify_ops.require_gp_budget(config.n, config.dimension)
     p, q = _sizes(args.sizes)
     n = config.n
     if p >= 1 and q >= 1 and p + q <= n:
         pairs = comb(n, p) * comb(n - p, q) // (2 if p == q else 1)
-        _check_budget(pairs, f"({p},{q})-pairs of {n} points")
+        verify_ops.require_budget(pairs, f"({p},{q})-pairs of {n} points")
     result = count_crossing_pairs(config, p, q, keep_witnesses=args.witnesses)
     summary = (
         f"{result.crossing_pairs} crossing ({p},{q})-pairs "
@@ -224,46 +201,18 @@ def _cmd_schedule(args) -> tuple[dict, str, int]:
     return payload, summary, 0
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise InvalidInputError(f"verify {args.what} needs --{name}")
-
-
 def _cmd_verify(args) -> tuple[dict, str, int]:
-    trials = args.trials if args.trials is not None else TRIAL_DEFAULTS[args.what]
-    seed = args.seed
+    runner, params, default_trials, fixed = verify_ops.CHECKS[args.what]
     if args.fixed:
         config = _load_config(args.fixed)
-        _check_gp_budget(config.n, config.dimension)
-        checks = {
-            "bijection": verify_ops.check_bijection,
-            "duality": verify_ops.check_duality,
-            "eight": verify_ops.check_eight_points,
-            "pipeline": verify_ops.check_pipeline,
-            "vkf": verify_ops.check_vkf,
-            "planar": verify_ops.check_planar,
-        }
-        report = verify_ops.fixed_report(args.what, config, checks[args.what])
-    elif args.what == "bijection":
-        _require(args, ("d", "n"))
-        report = verify_ops.verify_bijection(args.d, args.n, trials, seed)
-    elif args.what == "duality":
-        _require(args, ("d", "n"))
-        # the spanning side checks C(n, m) = C(n, d + 1) subsets, m = n - d - 1
-        _check_gp_budget(args.n, args.d)
-        report = verify_ops.verify_position_duality(args.d, args.n, trials, seed)
-    elif args.what == "eight":
-        report = verify_ops.verify_eight_points(trials, seed)
-    elif args.what == "pipeline":
-        _require(args, ("d",))
-        report = verify_ops.verify_schedule_pipeline(args.d, trials, seed)
-    elif args.what == "vkf":
-        _require(args, ("k",))
-        report = verify_ops.verify_vkf(args.k, trials, seed)
+        verify_ops.require_gp_budget(config.n, config.dimension)
+        report = verify_ops.fixed_report(args.what, config, fixed)
     else:
-        _require(args, ("n",))
-        report = verify_ops.verify_planar_constant(args.n, trials, seed)
+        for name in params:
+            if getattr(args, name) is None:
+                raise InvalidInputError(f"verify {args.what} needs --{name}")
+        trials = default_trials if args.trials is None else args.trials
+        report = runner(*(getattr(args, name) for name in params), trials, args.seed)
     summary = f"{report.check_name}: {report.passes}/{report.trials} trials passed"
     for seed_used, detail in report.failures[:5]:
         summary += f"\n  seed {seed_used}: {detail}"
@@ -346,13 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser("verify", help="run an end-to-end verification")
-    p.add_argument(
-        "what",
-        choices=("bijection", "duality", "eight", "pipeline", "vkf", "planar"),
-    )
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("what", choices=tuple(verify_ops.CHECKS))
+    params = [name for _, names, _, _ in verify_ops.CHECKS.values() for name in names]
+    for name in dict.fromkeys(params):
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixed", help="point file replacing the random trials")

@@ -279,43 +279,43 @@ def vkf_find(config: PointConfig) -> CrossingWitness:
     )
 
 
-def extend_crossing(config: PointConfig, witness: CrossingWitness, target: int) -> ExtensionResult:
-    """All ways to grow both sides of a crossing pair to exactly `target`
-    vertices using spare points of the configuration, re-checking the crossing
-    for every distribution (the claim that extensions stay crossing is
-    measured, not assumed).
+def extension_pairs(config: PointConfig, pair: SimplexPair, target: int) -> list:
+    """Every way to grow both sides of `pair` to exactly `target` vertices
+    with spare points of the configuration, as (left, right) label sets that
+    keep the pair's orientation.
 
-    Distributions pick the left side's extras first, then the right side's from
-    what remains; when the extras exhaust the spares (the only case the
-    verification pipelines use) the count is C(spares, needed_left)."""
-    used = set(witness.pair.left) | set(witness.pair.right)
+    Distributions pick the left side's extras first, then the right side's
+    from what remains, and their number is checked against the binomial
+    C(spares, needed_left) * C(spares - needed_left, needed_right)."""
+    used = pair.left | pair.right
     spares = [lab for lab in sorted(config.labels()) if lab not in used]
-    nl = target - len(witness.pair.left)
-    nr = target - len(witness.pair.right)
+    nl = target - len(pair.left)
+    nr = target - len(pair.right)
     if nl < 0 or nr < 0:
         raise InvalidInputError("target is below a current side size")
     if nl + nr > len(spares):
         raise InvalidInputError(
             f"insufficient spare points: need {nl}+{nr}, have {len(spares)}"
         )
-    found = []
-    checked = 0
+    out = []
     for extra_left in combinations(spares, nl):
-        taken = set(extra_left)
-        remaining = [lab for lab in spares if lab not in taken]
+        remaining = [lab for lab in spares if lab not in extra_left]
         for extra_right in combinations(remaining, nr):
-            checked += 1
-            w = simplices_cross(
-                config,
-                set(witness.pair.left) | set(extra_left),
-                set(witness.pair.right) | set(extra_right),
-            )
-            if w is not None:
-                found.append(w)
+            out.append((pair.left | set(extra_left), pair.right | set(extra_right)))
     expected = comb(len(spares), nl) * comb(len(spares) - nl, nr)
-    if checked != expected:
+    if len(out) != expected:
         raise TheoremViolationError(
-            f"extension checked {checked} distributions, expected {expected}: "
+            f"extension checked {len(out)} distributions, expected {expected}: "
             "THEOREM_VIOLATION"
         )
-    return ExtensionResult(tuple(found), checked)
+    return out
+
+
+def extend_crossing(config: PointConfig, witness: CrossingWitness, target: int) -> ExtensionResult:
+    """The crossing witnesses among extension_pairs of a crossing pair, each
+    distribution re-checked by simplices_cross (the claim that extensions
+    stay crossing is measured, not assumed). When the extras exhaust the
+    spares, the distributions number C(spares, needed_left)."""
+    pairs = extension_pairs(config, witness.pair, target)
+    found = (simplices_cross(config, left, right) for left, right in pairs)
+    return ExtensionResult(tuple(w for w in found if w is not None), len(pairs))

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .configs import PointConfig, draw_config, lift_odd, random_config
-from .crossing import count_crossing_pairs, extend_crossing, simplices_cross, vkf_find
+from .configs import PointConfig, SimplexPair, draw_config, lift_odd, random_config
+from .crossing import count_crossing_pairs, extension_pairs, simplices_cross, vkf_find
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import gale_transform, proper_sizes, separation_to_crossing, verify_duality
 from .separations import schedule_blocks, schedule_eight, enumerate_separations
@@ -60,14 +60,23 @@ class BoundReport:
     provenance: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "cd_lower_used": self.cd_lower_used,
-            "pairs_choose": self.pairs_choose,
-            "implied_crossing_lower_bound": self.implied_crossing_lower_bound,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
+
+
+def require_budget(work: int, what: str) -> None:
+    """Refuse `work` units of `what` above EXHAUSTIVE_BUDGET before any of
+    them runs. Every exhaustive command and check states its budget here."""
+    if work > EXHAUSTIVE_BUDGET:
+        raise InvalidInputError(
+            f"budget exceeded: {work} {what} > {EXHAUSTIVE_BUDGET}"
+        )
+
+
+def require_gp_budget(n: int, d: int) -> None:
+    """Refuse n points in R^d whose general-position scan, one determinant
+    per (d+1)-subset, would exceed the work budget."""
+    if min(n, d) >= 0:  # negative sizes are refused where they are used
+        require_budget(math.comb(n, d + 1), f"general-position determinants C({n},{d + 1})")
 
 
 def _run_trials(check_name: str, trials: int, seed: int, single_trial) -> VerificationReport:
@@ -76,10 +85,7 @@ def _run_trials(check_name: str, trials: int, seed: int, single_trial) -> Verifi
     than EXHAUSTIVE_BUDGET trials are refused before the first one runs."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    if trials > EXHAUSTIVE_BUDGET:
-        raise InvalidInputError(
-            f"budget exceeded: {trials} trials > {EXHAUSTIVE_BUDGET}"
-        )
+    require_budget(trials, "trials")
     start = time.monotonic()
     failures = []
     for i in range(trials):
@@ -96,6 +102,11 @@ def _run_trials(check_name: str, trials: int, seed: int, single_trial) -> Verifi
     )
 
 
+def _require_bijection_budget(n: int) -> None:
+    """The direct count of n points enumerates C(n, floor(n/2)) partitions."""
+    require_budget(math.comb(n, n // 2), f"exhaustive checks C({n},{n // 2})")
+
+
 def check_bijection(config: PointConfig) -> str:
     """One configuration's crossing/separation correspondence, as a failure
     detail string (empty when everything matches).
@@ -105,12 +116,8 @@ def check_bijection(config: PointConfig) -> str:
     equals the directly counted pair set. Each pair of the direct count was
     found by the crossing LP and re-checked by CrossingWitness.validate, so
     the set equality certifies every mapped pair without solving it again."""
-    n = config.n
-    if math.comb(n, n // 2) > EXHAUSTIVE_BUDGET:
-        raise InvalidInputError(
-            f"budget exceeded: C({n},{n // 2}) > {EXHAUSTIVE_BUDGET} exhaustive checks"
-        )
-    p, q = proper_sizes(n)
+    _require_bijection_budget(config.n)
+    p, q = proper_sizes(config.n)
     diagram = gale_transform(config)
     separations = enumerate_separations(diagram, (p, q))
     direct = count_crossing_pairs(config, p, q, keep_witnesses=True)
@@ -129,14 +136,11 @@ def check_bijection(config: PointConfig) -> str:
 def verify_bijection(d: int, n: int, trials: int, seed: int) -> VerificationReport:
     """Random-trial check that separations and crossing pairs coincide exactly.
 
-    Sizes are capped so the exhaustive side stays at desk scale: the direct
-    count enumerates C(n, floor(n/2)) partitions per trial."""
-    if not (d + 2 <= n <= d + 6 or n == 2 * d):
-        raise InvalidInputError("need d+2 <= n <= d+6, or n = 2d")
-    if math.comb(n, n // 2) > EXHAUSTIVE_BUDGET:
-        raise InvalidInputError(
-            f"budget exceeded: C({n},{n // 2}) > {EXHAUSTIVE_BUDGET} exhaustive checks"
-        )
+    Sizes are capped so the exhaustive side stays at desk scale, and both
+    are refused before the first trial when out of range."""
+    if d < 1 or n < d + 2 or not (n <= d + 6 or n == 2 * d):
+        raise InvalidInputError("need d >= 1, n >= d+2, and n <= d+6 or n = 2d")
+    _require_bijection_budget(n)
 
     def trial(trial_seed: int) -> str:
         return check_bijection(random_config(n, d, trial_seed, DEFAULT_RANGE))
@@ -179,12 +183,25 @@ def verify_eight_points(trials: int, seed: int) -> VerificationReport:
     return _run_trials("eight-point schedule", trials, seed, trial)
 
 
-def _vkf_probe(config: PointConfig) -> str:
+def _missing_extension(extensions, crossing: set) -> str:
+    """Failure detail naming the first (d,d) extension that is not a crossing
+    pair of the direct count, empty when every one is."""
+    for left, right in extensions:
+        if SimplexPair(left, right) not in crossing:
+            return (
+                f"extension {sorted(left)}|{sorted(right)} is not a crossing "
+                "pair of the direct count"
+            )
+    return ""
+
+
+def _vkf_probe(config: PointConfig, crossing: set) -> str:
     """Witness-existence sub-check on the lexicographically first (d+3)-subset;
     odd dimensions go through the zero-coordinate lift first.
 
-    Also extends the found pair to (d,d) and pins the number of candidate
-    distributions to the exact binomial the extension arithmetic predicts."""
+    Also extends the found pair to (d,d), pins the number of distributions to
+    the exact binomial the extension arithmetic predicts, and requires every
+    extension to be in `crossing`, the direct count's crossing (d,d) pairs."""
     d = config.dimension
     labels = sorted(config.labels())
     probe = config.subset(labels[: d + 3])
@@ -198,42 +215,41 @@ def _vkf_probe(config: PointConfig) -> str:
         if "dummy" in pair.left | pair.right:
             return "lifted witness uses the apex point"
         expected = math.comb(d - 3, (d - 3) // 2)
-    full_witness = simplices_cross(config, pair.left, pair.right)
-    if full_witness is None:
+    if simplices_cross(config, pair.left, pair.right) is None:
         return "probe witness does not cross inside the full configuration"
-    extension = extend_crossing(config, full_witness, d)
-    if extension.distributions_checked != expected:
-        return (
-            f"extension checked {extension.distributions_checked} "
-            f"distributions, expected {expected}"
-        )
-    if not extension.witnesses:
-        return (
-            f"no extension of {sorted(pair.left)}|{sorted(pair.right)} crosses "
-            f"(0 of {extension.distributions_checked} distributions)"
-        )
-    return ""
+    extensions = extension_pairs(config, pair, d)
+    if len(extensions) != expected:
+        return f"extension checked {len(extensions)} distributions, expected {expected}"
+    return _missing_extension(extensions, crossing)
+
+
+def _require_pipeline_dimension(d: int) -> None:
+    if d not in (4, 5, 6):
+        raise InvalidInputError("budget exceeded: pipeline supports d in {4, 5, 6}")
 
 
 def check_pipeline(config: PointConfig) -> str:
     """One 2d-point configuration through the whole counting pipeline.
 
-    Runs the block schedule on (d+4)-subsets, maps each separation to a
-    mid-size crossing pair, extends to full (d,d) pairs, dedupes globally, and
-    checks the direct exhaustive count dominates the deduped schedule-derived
-    count while the raw separation total meets floor(log2(d+4)) per subset."""
+    The direct exhaustive count gives the set of crossing (d,d) pairs once,
+    and every (d,d) verdict below is read from it. The block schedule runs on
+    (d+4)-subsets and each separation maps to a mid-size pair. Each distinct
+    pair smaller than (d,d) is checked to cross by simplices_cross once, and
+    each of its extensions to (d,d) must be in the set: a crossing pair that
+    spans R^d stays crossing when a point joins one side. The raw separation
+    total must meet floor(log2(d+4)) per subset."""
     d = config.dimension
-    if d not in (4, 5, 6):
-        raise InvalidInputError("budget exceeded: pipeline supports d in {4, 5, 6}")
+    _require_pipeline_dimension(d)
     if config.n != 2 * d:
         return f"pipeline needs 2d = {2 * d} points, got {config.n}"
+    crossing = {w.pair for w in count_crossing_pairs(config, d, d, keep_witnesses=True).witnesses}
     labels = sorted(config.labels())
     log_bound = (d + 4).bit_length() - 1
     subsets = list(combinations(labels, d + 4))
     if d == 6:
         subsets = subsets[:SUBSET_CAP_D6]
     raw = 0
-    derived = set()
+    decided = set()
     for subset_labels in subsets:
         sub = config.subset(subset_labels)
         diagram = gale_transform(sub)
@@ -249,20 +265,20 @@ def check_pipeline(config: PointConfig) -> str:
         raw += len(separations)
         for sep in separations:
             pair = separation_to_crossing(diagram, sep)
-            witness = simplices_cross(config, pair.left, pair.right)
-            if witness is None:
+            if pair in decided:
+                continue
+            decided.add(pair)
+            if pair.sizes() != (d, d) and simplices_cross(config, pair.left, pair.right) is None:
                 return (
                     f"schedule pair {sorted(pair.left)}|{sorted(pair.right)} "
                     "does not cross"
                 )
-            extension = extend_crossing(config, witness, d)
-            derived.update(w.pair for w in extension.witnesses)
-    vkf_detail = _vkf_probe(config)
+            detail = _missing_extension(extension_pairs(config, pair, d), crossing)
+            if detail:
+                return detail
+    vkf_detail = _vkf_probe(config, crossing)
     if vkf_detail:
         return vkf_detail
-    direct = count_crossing_pairs(config, d, d).crossing_pairs
-    if direct < len(derived):
-        return f"direct count {direct} < deduped schedule-derived count {len(derived)}"
     if raw < log_bound * len(subsets):
         return (
             f"raw separation total {raw} < {log_bound} x {len(subsets)} subsets"
@@ -271,8 +287,7 @@ def check_pipeline(config: PointConfig) -> str:
 
 
 def verify_schedule_pipeline(d: int, trials: int, seed: int) -> VerificationReport:
-    if d not in (4, 5, 6):
-        raise InvalidInputError("budget exceeded: pipeline supports d in {4, 5, 6}")
+    _require_pipeline_dimension(d)
 
     def trial(trial_seed: int) -> str:
         return check_pipeline(random_config(2 * d, d, trial_seed, DEFAULT_RANGE))
@@ -287,10 +302,7 @@ def check_vkf(config: PointConfig) -> str:
     size = d // 2 + 1
     if d % 2 == 0 and n == d + 3:
         pairs = math.comb(n, size) * math.comb(n - size, size) // 2
-        if pairs > EXHAUSTIVE_BUDGET:
-            raise InvalidInputError(
-                f"budget exceeded: {pairs} ({size},{size})-pairs > {EXHAUSTIVE_BUDGET}"
-            )
+        require_budget(pairs, f"({size},{size})-pairs")
     witness = vkf_find(config)
     sizes = tuple(sorted((len(witness.pair.left), len(witness.pair.right))))
     if sizes != (size, size):
@@ -309,14 +321,18 @@ def verify_vkf(k: int, trials: int, seed: int) -> VerificationReport:
     return _run_trials(f"vkf k={k}", trials, seed, trial)
 
 
+def _require_planar_size(n: int) -> None:
+    if not 4 <= n <= 10:
+        raise InvalidInputError("n must be between 4 and 10")
+
+
 def check_planar(config: PointConfig) -> str:
     """Direct planar segment-crossing count against ceil(0.375 C(n,4)), the
     cited planar lower-bound constant; exact integer ceiling, no floats."""
     if config.dimension != 2:
         raise InvalidInputError("planar check needs points in R^2")
     n = config.n
-    if not 4 <= n <= 10:
-        raise InvalidInputError("n must be between 4 and 10")
+    _require_planar_size(n)
     threshold = (3 * math.comb(n, 4) + 7) // 8
     count = count_crossing_pairs(config, 2, 2).crossing_pairs
     if count < threshold:
@@ -325,8 +341,7 @@ def check_planar(config: PointConfig) -> str:
 
 
 def verify_planar_constant(n: int, trials: int, seed: int) -> VerificationReport:
-    if not 4 <= n <= 10:
-        raise InvalidInputError("n must be between 4 and 10")
+    _require_planar_size(n)
 
     def trial(trial_seed: int) -> str:
         return check_planar(random_config(n, 2, trial_seed, DEFAULT_RANGE))
@@ -343,17 +358,32 @@ def check_duality(config: PointConfig) -> str:
 def verify_position_duality(d: int, n: int, trials: int, seed: int) -> VerificationReport:
     """Trials of the general-position/spanning equivalence over raw unrejected
     samples with a tiny coordinate range, so both degenerate and generic
-    configurations occur."""
+    configurations occur. Each trial's spanning side checks C(n, d + 1)
+    subsets, so that is refused over the budget before the first trial."""
     if d < 1:
         raise InvalidInputError("need d >= 1")
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2")
+    require_gp_budget(n, d)
 
     def trial(trial_seed: int) -> str:
         # no general-position rejection: degenerate samples are the point here
         return check_duality(draw_config(random.Random(trial_seed), n, d, 3))
 
     return _run_trials(f"position duality d={d} n={n}", trials, seed, trial)
+
+
+# Each verify check: its random-trial runner, called with the values of its
+# CLI parameters and then trials and seed; those parameters; its default
+# trial count; and its one-configuration check.
+CHECKS = {
+    "bijection": (verify_bijection, ("d", "n"), 25, check_bijection),
+    "duality": (verify_position_duality, ("d", "n"), 100, check_duality),
+    "eight": (verify_eight_points, (), 100, check_eight_points),
+    "pipeline": (verify_schedule_pipeline, ("d",), 5, check_pipeline),
+    "vkf": (verify_vkf, ("k",), 50, check_vkf),
+    "planar": (verify_planar_constant, ("n",), 50, check_planar),
+}
 
 
 def fixed_report(check_name: str, config: PointConfig, check) -> VerificationReport:

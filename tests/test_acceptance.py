@@ -182,7 +182,8 @@ def test_schedule_pipeline():
         parts.append(f"d={d}: {report.passes}/{report.trials}")
     detail = (
         ", ".join(parts)
-        + " trials with exhaustive count >= deduped schedule count >= floor(log2(d+4)) per subset"
+        + " trials: every (d,d) extension of a schedule pair is in the exhaustive"
+        " crossing set, and >= floor(log2(d+4)) separations per subset"
     )
     return ok, detail
 

@@ -689,6 +689,21 @@ def test_random_draw_negative_sizes_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "sizes",
+    [
+        # n = 2d below d + 2: was exit 1, every trial failing in gale_transform
+        ("--d", "1", "--n", "2"),
+        # negative sizes: was an uncaught ValueError from math.comb
+        ("--d", "-1", "--n", "-2"),
+    ],
+)
+def test_verify_bijection_bad_sizes_exit_2(capsys, sizes):
+    code, stdout, stderr = run(capsys, "verify", "bijection", *sizes, "--trials", "1")
+    assert code == 2
+    assert stdout == "" and stderr.startswith("error: need d >= 1")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("bijection", "--d", "2", "--n", "4"),

@@ -1,8 +1,16 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+import galecross.crossing
 import galecross.verify
 from galecross import (
+    gale_transform,
     moment_curve_config,
+    random_config,
+    schedule_blocks,
+    separation_to_crossing,
     verify_bijection,
     verify_duality,
     verify_eight_points,
@@ -11,6 +19,8 @@ from galecross import (
     verify_schedule_pipeline,
     verify_vkf,
 )
+from galecross.configs import SimplexPair
+from galecross.crossing import extension_pairs
 from galecross.errors import InvalidInputError
 from galecross.verify import (
     BoundReport,
@@ -56,6 +66,14 @@ def test_bijection_preconditions():
         check_bijection(moment_curve_config(16, 8))
 
 
+@pytest.mark.parametrize("d, n", [(1, 2), (-1, -2), (0, 2), (2, 3)])
+def test_bijection_refuses_bad_sizes_before_any_trial(d, n):
+    # n = 2d once let (1, 2) through to fail trial by trial, and (-1, -2)
+    # reached math.comb with a negative size
+    with pytest.raises(InvalidInputError, match="need d >= 1"):
+        verify_bijection(d, n, trials=1, seed=0)
+
+
 def test_eight_points_small_run():
     rep = verify_eight_points(trials=2, seed=5)
     assert rep.ok() and rep.passes == 2
@@ -78,6 +96,69 @@ def test_pipeline_preconditions():
     with pytest.raises(InvalidInputError):
         verify_schedule_pipeline(7, trials=1, seed=0)
     assert "pipeline needs 2d" in check_pipeline(moment_curve_config(9, 4))
+
+
+# 10 points in R^5: (4,5) schedule pairs, each extended to (5,5) by one point
+PIPELINE_D5 = random_config(10, 5, seed=7, coord_range=1000)
+
+
+def test_pipeline_decides_each_pair_once(monkeypatch):
+    config = PIPELINE_D5
+    d = config.dimension
+    inside_count = []
+    calls = []
+    count = galecross.verify.count_crossing_pairs
+
+    def counting(*args, **kwargs):
+        inside_count.append(True)
+        try:
+            return count(*args, **kwargs)
+        finally:
+            inside_count.pop()
+
+    def spying(module):
+        cross = module.simplices_cross
+
+        def spy(cfg, left, right):
+            if cfg is config:
+                calls.append((SimplexPair(frozenset(left), frozenset(right)), bool(inside_count)))
+            return cross(cfg, left, right)
+
+        return spy
+
+    monkeypatch.setattr(galecross.verify, "count_crossing_pairs", counting)
+    for module in (galecross.crossing, galecross.verify):
+        monkeypatch.setattr(module, "simplices_cross", spying(module))
+    assert check_pipeline(config) == ""
+    full = Counter(pair for pair, _ in calls if pair.sizes() == (d, d))
+    assert len(full) == pascal(2 * d, d) // 2
+    assert set(full.values()) == {1}
+    assert all(inside for pair, inside in calls if pair.sizes() == (d, d))
+    outside = Counter(pair for pair, inside in calls if not inside)
+    assert outside and set(outside.values()) == {1}
+    # the schedule's (4,5) pairs and the vkf probe's (4,4) pair
+    assert {tuple(sorted(pair.sizes())) for pair in outside} == {(4, 5), (4, 4)}
+
+
+def test_pipeline_fails_when_direct_count_loses_a_derived_pair(monkeypatch):
+    config = PIPELINE_D5
+    d = config.dimension
+    subset = config.subset(sorted(config.labels())[: d + 4])
+    diagram = gale_transform(subset)
+    pair = separation_to_crossing(diagram, schedule_blocks(diagram).separations()[0])
+    lost = SimplexPair(*extension_pairs(config, pair, d)[0])
+    count = galecross.verify.count_crossing_pairs
+
+    def losing(*args, **kwargs):
+        result = count(*args, **kwargs)
+        kept = tuple(w for w in result.witnesses if w.pair != lost)
+        assert len(kept) == len(result.witnesses) - 1
+        return replace(result, crossing_pairs=len(kept), witnesses=kept)
+
+    monkeypatch.setattr(galecross.verify, "count_crossing_pairs", losing)
+    detail = check_pipeline(config)
+    assert "not a crossing pair of the direct count" in detail
+    assert str(sorted(lost.left)) in detail and str(sorted(lost.right)) in detail
 
 
 def test_vkf_small_run():
