@@ -11,10 +11,13 @@ exactly when its optimum is strictly positive. Boundary contact (optimum
 exactly 0) is NOT crossing, and pairs sharing a vertex are refused outright
 rather than counted.
 
-The LP rows and the witness check read the configuration's stored int
+The LP rows and the certificate check read the configuration's stored int
 coordinates and scale (PointConfig.int_coords, PointConfig.coord_scale), so
-no pair clears denominators again. Fractions appear only in a crossing
-witness: the LP's weights, read off its result, and the certified point.
+no pair clears denominators again. A verdict is certified on the LP's own
+int numerators over its denominator (_crossing), and Fractions appear only in
+a witness that a caller keeps: the weights, numerators over that
+denominator, and the certified point. A count without witnesses and the
+crossing pair set of the bijection and eight-point checks build none.
 """
 
 from __future__ import annotations
@@ -46,21 +49,17 @@ class CrossingWitness:
     def validate(self, config: PointConfig) -> bool:
         """Re-check every invariant by direct arithmetic (no LP trust):
         positive coefficients, each side's summing to one, and both sides'
-        combinations equal to the point. The check runs on ints: the
-        configuration's int coordinates, the coefficients cleared by one
-        lcm."""
+        combinations equal to the point. The coefficients are cleared by one
+        lcm and checked by _certificate, the rule every LP verdict passes."""
         left = sorted(self.pair.left)
         right = sorted(self.pair.right)
         if len(left) != len(self.left_coeffs) or len(right) != len(self.right_coeffs):
             return False
-        point = _certified_point(
-            [config.int_coords(lab) for lab in left],
-            [config.int_coords(lab) for lab in right],
-            config.coord_scale,
-            self.left_coeffs,
-            self.right_coeffs,
-        )
-        return point == self.point
+        (lw, rw), den = clear_denominators([self.left_coeffs, self.right_coeffs])
+        ints = config.int_coords
+        combo = _certificate([ints(lab) for lab in left], [ints(lab) for lab in right], lw, rw, den)
+        scale = den * config.coord_scale
+        return combo is not None and self.point == tuple(Fraction(v, scale) for v in combo)
 
     def to_json_obj(self) -> dict:
         return {
@@ -71,23 +70,21 @@ class CrossingWitness:
         }
 
 
-def _certified_point(left, right, scale, left_coeffs, right_coeffs):
-    """The common point of the two convex combinations, or None when the
-    coefficients are not a crossing certificate.
+def _certificate(left, right, lw, rw, den):
+    """The common integer combination of the two sides, or None when the
+    weights are not a crossing certificate.
 
-    left and right are vertex coordinates times `scale`, as ints. The
-    coefficients are cleared by the lcm `den` of their denominators; they
-    certify a crossing when every cleared coefficient is positive, each side's
-    sum to den, and the two integer combinations of the vertices are equal.
-    The point is that combination over den * scale, one Fraction per
-    coordinate."""
-    (lw, rw), den = clear_denominators([left_coeffs, right_coeffs])
+    left and right are vertex coordinates times the configuration's scale, as
+    ints, and lw/den and rw/den are the two sides' weights, den > 0. They
+    certify a crossing when every weight is positive, each side's sum to den,
+    and the two integer combinations of the vertices are equal. The common
+    point is that combination over den * scale."""
     if min(lw) <= 0 or min(rw) <= 0 or sum(lw) != den or sum(rw) != den:
         return None
     combo = [sum(map(mul, lw, coord)) for coord in zip(*left)]
     if combo != [sum(map(mul, rw, coord)) for coord in zip(*right)]:
         return None
-    return tuple(Fraction(v, den * scale) for v in combo)
+    return combo
 
 
 @dataclass(frozen=True)
@@ -162,8 +159,10 @@ def _separated(config: PointConfig, left, right) -> bool | None:
     return False
 
 
-def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
-    """Witness that relint(conv left) meets relint(conv right), or None.
+def _crossing(config: PointConfig, left, right):
+    """The crossing verdict on sorted, disjoint, nonempty label sequences:
+    None when the pair does not cross, else the certificate (lw, rw, combo,
+    den) of _certificate, all ints.
 
     A pair that _separated proves disjoint is None without an LP. Any other
     pair builds the equality system sum lam_i x_i - sum mu_j x_j = 0,
@@ -175,17 +174,9 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
     rows of the configuration's int coordinates, which are the rational ones
     times its scale L > 0, and the two weight rows and their right-hand sides
     times L too. A positive multiple of the rational system gives Bland's
-    rule the same pivots and the LP the same weights. Only a crossing pair
-    reads those weights as Fractions; they are certified on the same ints
-    (_certified_point, as in CrossingWitness.validate), which also gives the
-    witness point."""
-    left = sorted(set(left))
-    right = sorted(set(right))
-    if not left or not right:
-        raise InvalidInputError("both vertex sets must be nonempty")
-    shared = set(left) & set(right)
-    if shared:
-        raise InvalidInputError(f"shared vertex (never a crossing): {sorted(shared)}")
+    rule the same pivots and the LP the same weights. Those weights are the
+    LP's int numerators lw, rw over its denominator den, and _certificate
+    checks them as they are; a failed check raises TheoremViolationError."""
     separated = _separated(config, left, right)
     if separated:
         return None
@@ -203,16 +194,39 @@ def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
         ):
             raise TheoremViolationError(
                 "no separating hyperplane for a non-crossing pair in general "
-                f"position {left} / {right}: THEOREM_VIOLATION"
+                f"position {list(left)} / {list(right)}: THEOREM_VIOLATION"
             )
         return None
-    solution = res.solution
-    lam, mu = solution[:nl], solution[nl:]
-    point = _certified_point(lcols, rcols, scale, lam, mu)
-    if point is None:
+    lw, rw = res.numerators[:nl], res.numerators[nl:]
+    combo = _certificate(lcols, rcols, lw, rw, res.den)
+    if combo is None:
         raise TheoremViolationError(
             "LP produced a witness that failed exact re-validation: THEOREM_VIOLATION"
         )
+    return lw, rw, combo, res.den
+
+
+def simplices_cross(config: PointConfig, left, right) -> CrossingWitness | None:
+    """Witness that relint(conv left) meets relint(conv right), or None.
+
+    The verdict and its integer certificate are _crossing's. A crossing pair
+    reads them as Fractions: each weight is its numerator over the LP's
+    denominator den, and the point is the common combination over
+    den * scale."""
+    left = sorted(set(left))
+    right = sorted(set(right))
+    if not left or not right:
+        raise InvalidInputError("both vertex sets must be nonempty")
+    shared = set(left) & set(right)
+    if shared:
+        raise InvalidInputError(f"shared vertex (never a crossing): {sorted(shared)}")
+    verdict = _crossing(config, left, right)
+    if verdict is None:
+        return None
+    lw, rw, combo, den = verdict
+    lam = tuple(Fraction(v, den) for v in lw)
+    mu = tuple(Fraction(v, den) for v in rw)
+    point = tuple(Fraction(v, den * config.coord_scale) for v in combo)
     pair = SimplexPair(frozenset(left), frozenset(right))
     # the pair canonicalizes its sides; keep the coefficients on the right ones
     if set(pair.left) == set(left):
@@ -233,25 +247,44 @@ def _disjoint_pairs(config: PointConfig, p: int, q: int):
             yield left, right
 
 
+def _checked_pairs(config: PointConfig, p: int, q: int):
+    """_disjoint_pairs of a count, after refusing part sizes that do not fit
+    and a configuration not in general position."""
+    if p < 1 or q < 1 or p + q > config.n:
+        raise InvalidInputError(f"part sizes ({p},{q}) do not fit {config.n} points")
+    require_general_position(config)
+    return _disjoint_pairs(config, p, q)
+
+
 def count_crossing_pairs(
     config: PointConfig, p: int, q: int, keep_witnesses: bool = False
 ) -> CrossingCount:
     """Exhaustively count crossing pairs (I, J) with |I| = p, |J| = q over
-    disjoint vertex sets; unordered, so p = q pairs are counted once."""
-    if p < 1 or q < 1 or p + q > config.n:
-        raise InvalidInputError(f"part sizes ({p},{q}) do not fit {config.n} points")
-    require_general_position(config)
+    disjoint vertex sets; unordered, so p = q pairs are counted once. Only
+    keep_witnesses builds a CrossingWitness; a plain count counts verdicts."""
+    decide = simplices_cross if keep_witnesses else _crossing
     total = 0
     crossing = 0
     witnesses = []
-    for left, right in _disjoint_pairs(config, p, q):
+    for left, right in _checked_pairs(config, p, q):
         total += 1
-        w = simplices_cross(config, left, right)
-        if w is not None:
+        verdict = decide(config, left, right)
+        if verdict is not None:
             crossing += 1
             if keep_witnesses:
-                witnesses.append(w)
+                witnesses.append(verdict)
     return CrossingCount(config.config_id(), (p, q), total, crossing, tuple(witnesses))
+
+
+def crossing_pair_set(config: PointConfig, p: int, q: int) -> set:
+    """The pairs of count_crossing_pairs(config, p, q) that cross, as
+    SimplexPairs, each certified on the LP's ints by _crossing with no
+    witness built. Not part of galecross.__all__."""
+    return {
+        SimplexPair(frozenset(left), frozenset(right))
+        for left, right in _checked_pairs(config, p, q)
+        if _crossing(config, left, right) is not None
+    }
 
 
 def vkf_find(config: PointConfig) -> CrossingWitness:

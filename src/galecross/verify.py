@@ -15,7 +15,9 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .configs import PointConfig, SimplexPair, draw_config, lift_odd, random_config
-from .crossing import count_crossing_pairs, extension_pairs, simplices_cross, vkf_find
+from .crossing import (
+    count_crossing_pairs, crossing_pair_set, extension_pairs, simplices_cross, vkf_find
+)
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import gale_transform, proper_sizes, separation_to_crossing, verify_duality
 from .separations import schedule_blocks, schedule_eight, enumerate_separations
@@ -113,20 +115,20 @@ def check_bijection(config: PointConfig) -> str:
 
     Checks exact count equality, that every enumerated separation maps to a
     source pair through its stored witness, and that the mapped pair set
-    equals the directly counted pair set. Each pair of the direct count was
-    found by the crossing LP and re-checked by CrossingWitness.validate, so
-    the set equality certifies every mapped pair without solving it again."""
+    equals the directly counted pair set. Each pair of the direct set was
+    found by the crossing LP and its certificate checked on the LP's own int
+    numerators (crossing_pair_set; no CrossingWitness is built), so the set
+    equality certifies every mapped pair without solving it again."""
     _require_bijection_budget(config.n)
     p, q = proper_sizes(config.n)
     diagram = gale_transform(config)
     separations = enumerate_separations(diagram, (p, q))
-    direct = count_crossing_pairs(config, p, q, keep_witnesses=True)
-    if len(separations) != direct.crossing_pairs:
+    direct_pairs = crossing_pair_set(config, p, q)
+    if len(separations) != len(direct_pairs):
         return (
             f"separation count {len(separations)} != "
-            f"direct crossing count {direct.crossing_pairs}"
+            f"direct crossing count {len(direct_pairs)}"
         )
-    direct_pairs = {w.pair for w in direct.witnesses}
     mapped = {separation_to_crossing(diagram, sep) for sep in separations}
     if mapped != direct_pairs:
         return "mapped pair set differs from the directly counted pair set"
@@ -152,21 +154,20 @@ def check_eight_points(config: PointConfig) -> str:
     """One 8-point configuration in R^4: at least four crossing (4,4)-pairs by
     direct count, at least four distinct separations from the four-cut
     schedule, and every schedule separation mapping to a pair of the direct
-    count, which the crossing LP already certified.
+    count, which the crossing LP already certified (crossing_pair_set).
 
     The direct count touches only the crossing machinery and the schedule only
     the separation machinery, so a failure names the broken side."""
     if config.n != 8 or config.dimension != 4:
         return f"need 8 points in R^4, got {config.n} in R^{config.dimension}"
-    direct = count_crossing_pairs(config, 4, 4, keep_witnesses=True)
-    if direct.crossing_pairs < 4:
-        return f"direct crossing count {direct.crossing_pairs} < 4"
+    crossing = crossing_pair_set(config, 4, 4)
+    if len(crossing) < 4:
+        return f"direct crossing count {len(crossing)} < 4"
     diagram = gale_transform(config)
     trace = schedule_eight(diagram)
     separations = trace.separations()
     if len(set(separations)) < 4:
         return f"schedule produced {len(set(separations))} distinct separations < 4"
-    crossing = {w.pair for w in direct.witnesses}
     for sep in separations:
         if separation_to_crossing(diagram, sep) not in crossing:
             return (

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import galecross
 import galecross.crossing
 import galecross.separations
 from conftest import config_from
-from galecross import gale_transform, moment_curve_config, simplices_cross
+from galecross import count_crossing_pairs, gale_transform, moment_curve_config, simplices_cross
 from galecross.cli import REPRO_BUNDLE, build_parser, main
 from galecross.errors import TheoremViolationError
 from galecross.lp import OPTIMAL, LpResult
@@ -221,6 +222,39 @@ def test_bogus_lp_witness_exit_3_with_bundle(tmp_path, capsys, cyclic_square, mo
     assert "THEOREM_VIOLATION" in stderr
     bundle = json.loads((tmp_path / REPRO_BUNDLE).read_text())
     assert bundle["argv"][0] == "cross"
+    assert bundle["error_kind"] == "TheoremViolationError"
+    assert bundle["input_path"] == path
+    assert bundle["input"] == cyclic_square.to_json_obj()
+
+
+@pytest.mark.parametrize(
+    "bogus",
+    [
+        LpResult(OPTIMAL, Fraction(1), (Fraction(1), Fraction(0), Fraction(0), Fraction(1))),
+        # positive weights summing to one on each side whose combinations
+        # differ: 1/4 p1 + 3/4 p3 = (3/4, 3/4) but 1/2 p2 + 1/2 p4 = (1/2, 1/2)
+        LpResult(OPTIMAL, Fraction(1, 4), [1, 3, 2, 2], 4),
+    ],
+    ids=["zero-weight", "unequal-combinations"],
+)
+def test_bogus_lp_verdict_exit_3_with_bundle(tmp_path, capsys, cyclic_square, monkeypatch, bogus):
+    # a count without witnesses checks each LP answer on its int numerators;
+    # one that is not a crossing certificate is an invariant breach there too
+    monkeypatch.setattr(galecross.crossing, "lp_max_min", lambda a, b: bogus)
+    for decide in (
+        lambda: count_crossing_pairs(cyclic_square, 2, 2),
+        lambda: simplices_cross(cyclic_square, ["p1", "p3"], ["p2", "p4"]),
+    ):
+        with pytest.raises(TheoremViolationError, match="failed exact re-validation"):
+            decide()
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cyclic_square)
+    code, stdout, stderr = run(capsys, "count", "--in", path, "--sizes", "2,2")
+    assert code == 3
+    assert stdout == ""
+    assert "THEOREM_VIOLATION" in stderr
+    bundle = json.loads((tmp_path / REPRO_BUNDLE).read_text())
+    assert bundle["argv"][0] == "count"
     assert bundle["error_kind"] == "TheoremViolationError"
     assert bundle["input_path"] == path
     assert bundle["input"] == cyclic_square.to_json_obj()
@@ -748,7 +782,7 @@ def test_parse_error_leaves_shared_parser_intact(capsys):
         [sys.executable, "-m", "galecross", *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(Path(galecross.__file__).parents[1])},
+        env={**os.environ, "PYTHONPATH": str(Path(galecross.__file__).parents[1])},
         check=False,
     )
     assert (code, stdout) == (fresh.returncode, fresh.stdout)

@@ -22,6 +22,7 @@ from galecross import (
     simplices_cross,
     vkf_find,
 )
+from galecross.crossing import crossing_pair_set
 from galecross.errors import InvalidInputError, TheoremViolationError
 from oracles import OPTIMAL, fm_crossing, fraction_simplex_max, pascal, planar_crossing_count
 
@@ -162,6 +163,51 @@ def test_count_matches_orientation_oracle():
         pts = [(p.label, tuple(p.coords)) for p in cfg.points]
         assert cc.crossing_pairs == planar_crossing_count(pts)
         assert cc.total_pairs_checked == pascal(n, 2) * pascal(n - 2, 2) // 2
+
+
+def _no_witness(*args, **kwargs):
+    raise AssertionError("a CrossingWitness was built")
+
+
+def test_plain_count_builds_no_witness_and_solves_one_lp_per_crossing_pair(monkeypatch):
+    # a count without witnesses takes each verdict from the LP and its
+    # integer certificate alone; a separating hyperplane decides every
+    # non-crossing (2,2)-pair, so exactly the crossing pairs reach the LP
+    calls = []
+    simplex_max = galecross.lp.simplex_max
+
+    def counting(*args):
+        calls.append(args)
+        return simplex_max(*args)
+
+    monkeypatch.setattr(galecross.lp, "simplex_max", counting)
+    monkeypatch.setattr(galecross.crossing, "CrossingWitness", _no_witness)
+    cfg = random_config(8, 2, 9173, 1000)
+    count = count_crossing_pairs(cfg, 2, 2)
+    assert (count.total_pairs_checked, count.crossing_pairs, count.witnesses) == (210, 49, ())
+    assert count.crossing_pairs == planar_crossing_count([(p.label, p.coords) for p in cfg.points])
+    assert len(calls) == count.crossing_pairs
+    assert len(crossing_pair_set(cfg, 2, 2)) == count.crossing_pairs
+    assert len(calls) == 2 * count.crossing_pairs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_verdicts_equal_witnesses(data):
+    # the count-only verdicts and the crossing pair set agree with the kept
+    # witnesses pair for pair, inside and outside the size rule of _separated
+    d = data.draw(st.integers(2, 4), label="d")
+    size = d + data.draw(st.integers(1, 6), label="p+q-d")
+    p = data.draw(st.integers(1, size - 1), label="p")
+    q = size - p
+    n = data.draw(st.integers(size, max(size, 8)), label="n")
+    cfg = random_config(n, d, data.draw(st.integers(0, 10**6), label="seed"), 30)
+    plain = count_crossing_pairs(cfg, p, q)
+    kept = count_crossing_pairs(cfg, p, q, keep_witnesses=True)
+    event(f"crossing pairs: {kept.crossing_pairs}")
+    assert plain.total_pairs_checked == kept.total_pairs_checked
+    assert plain.crossing_pairs == len(kept.witnesses) == kept.crossing_pairs
+    assert crossing_pair_set(cfg, p, q) == {w.pair for w in kept.witnesses}
 
 
 def test_count_rejects_degenerate():

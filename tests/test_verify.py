@@ -57,6 +57,18 @@ def test_bijection_fixed_configs(zigzag_square, cyclic_square):
     assert check_bijection(moment_curve_config(6, 3)) == ""
 
 
+def test_bijection_and_eight_point_checks_build_no_witness(monkeypatch):
+    # both checks need only the set of crossing pairs, certified on the
+    # LP's ints; building a CrossingWitness would be wasted work
+    def no_witness(*args, **kwargs):
+        raise AssertionError("a CrossingWitness was built")
+
+    monkeypatch.setattr(galecross.crossing, "CrossingWitness", no_witness)
+    for seed in (3, 11):
+        assert check_bijection(random_config(7, 3, seed, 1000)) == ""
+        assert check_eight_points(random_config(8, 4, seed, 1000)) == ""
+
+
 def test_bijection_preconditions():
     with pytest.raises(InvalidInputError):
         verify_bijection(4, 11, trials=1, seed=0)
