@@ -10,6 +10,12 @@ on first use, a label index and its integer form: every coordinate times one
 common scale s (linalg.clear_denominators over all points at once), as int
 rows. The general-position scan, the Gale lift and the crossing LP read those
 rows; Fractions are made again only for what they return.
+
+Both sides of Gale duality are labeled rational rows of one width: the points
+here and the diagram vectors of gale.GaleDiagram. The row code they share
+(label index, integer form, row checks, file rows, save and load) lives once,
+in LabeledRows; so does the side-order rule of a pair of label sets
+(ordered_sides), which SimplexPair and gale.LinearSeparation both follow.
 """
 
 from __future__ import annotations
@@ -36,29 +42,97 @@ class LabeledPoint:
     coords: tuple[Fraction, ...]
 
 
+class LabeledRows:
+    """The storage both sides of Gale duality share: labeled rational rows of
+    one width, read from the dataclass field named by _ROWS. A subclass names
+    its header fields (_HEADER, JSON integers in that order before the rows
+    in its constructor), its row field and its noun for messages; it holds,
+    made once on first use, a label index and the integer form, every row
+    times one common scale s > 0 (one clear_denominators call) as int rows.
+    The file form is the header, then the rows as {label, coords} objects.
+    Not part of galecross.__all__."""
+
+    _HEADER: tuple[str, ...]
+    _ROWS: str
+    _NOUN: str
+
+    @property
+    def _rows(self) -> tuple[LabeledPoint, ...]:
+        return getattr(self, self._ROWS)
+
+    def _check_rows(self, width: int) -> None:
+        """Refuse a repeated label or a row whose width is not `width`."""
+        labels = self.labels()
+        if len(set(labels)) != len(labels):
+            raise InvalidInputError(f"duplicate {self._NOUN} labels")
+        for row in self._rows:
+            if len(row.coords) != width:
+                raise InvalidInputError(
+                    f"{self._NOUN} row {row.label} has {len(row.coords)} coords, expected {width}"
+                )
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(row.label for row in self._rows)
+
+    def _position(self, label) -> int:
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"unknown {self._NOUN} label: {label}") from None
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {row.label: i for i, row in enumerate(self._rows)}
+
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        rows, scale = clear_denominators([row.coords for row in self._rows])
+        return tuple(map(tuple, rows)), scale
+
+    def to_json_obj(self) -> dict:
+        obj = {key: getattr(self, key) for key in self._HEADER}
+        obj[self._ROWS] = [
+            {"label": row.label, "coords": format_vector(row.coords)} for row in self._rows
+        ]
+        return obj
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        try:
+            header = [parse_count(obj[key], key) for key in cls._HEADER]
+            rows = tuple(
+                LabeledPoint(parse_label(item["label"]), parse_vector(item["coords"]))
+                for item in obj[cls._ROWS]
+            )
+        except (KeyError, TypeError) as exc:
+            raise InvalidInputError(f"malformed {cls._NOUN} file: {exc!r}") from exc
+        return cls(*header, rows)
+
+    def save(self, path: str) -> None:
+        atomic_write_text(path, canonical_dumps(self.to_json_obj()))
+
+    @classmethod
+    def load(cls, path: str):
+        return cls.from_json_obj(load_json(path))
+
+
 @dataclass(frozen=True)
-class PointConfig:
+class PointConfig(LabeledRows):
     dimension: int
     points: tuple[LabeledPoint, ...]
+
+    _HEADER = ("dimension",)
+    _ROWS = "points"
+    _NOUN = "point"
 
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidInputError("dimension must be >= 1")
-        labels = [p.label for p in self.points]
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError("duplicate point labels")
-        for p in self.points:
-            if len(p.coords) != self.dimension:
-                raise InvalidInputError(
-                    f"point {p.label} has {len(p.coords)} coords, expected {self.dimension}"
-                )
+        self._check_rows(self.dimension)
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.points)
 
     def coords(self, label: str) -> tuple[Fraction, ...]:
         return self.points[self._position(label)].coords
@@ -73,20 +147,9 @@ class PointConfig:
         coordinate's denominator."""
         return self._integer_form[1]
 
-    def _position(self, label) -> int:
-        try:
-            return self._index[label]
-        except (KeyError, TypeError):
-            raise InvalidInputError(f"unknown label: {label}") from None
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {p.label: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        rows, scale = clear_denominators([p.coords for p in self.points])
-        return tuple(map(tuple, rows)), scale
+    def _scanned(self) -> bool:
+        """Whether find_degenerate_subset's answer is stored on this instance."""
+        return "_degenerate_subset" in self.__dict__
 
     @cached_property
     def _degenerate_subset(self) -> tuple[str, ...] | None:
@@ -148,40 +211,13 @@ class PointConfig:
             raise InvalidInputError(f"unknown labels: {sorted(missing)}")
         sub = PointConfig(self.dimension, tuple(p for p in self.points if p.label in wanted))
         sub.__dict__["_orientations"] = self._orientations
-        if "_degenerate_subset" in self.__dict__ and self._degenerate_subset is None:
+        if self._scanned() and self._degenerate_subset is None:
             sub.__dict__["_degenerate_subset"] = None
         return sub
 
     def config_id(self) -> str:
         digest = hashlib.sha256(canonical_dumps(self.to_json_obj()).encode()).hexdigest()
         return f"n{self.n}d{self.dimension}-{digest[:12]}"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "points": [
-                {"label": p.label, "coords": format_vector(p.coords)} for p in self.points
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "PointConfig":
-        try:
-            dimension = parse_count(obj["dimension"], "dimension")
-            points = tuple(
-                LabeledPoint(parse_label(item["label"]), parse_vector(item["coords"]))
-                for item in obj["points"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed point file: {exc!r}") from exc
-        return cls(dimension, points)
-
-    def save(self, path: str) -> None:
-        atomic_write_text(path, canonical_dumps(self.to_json_obj()))
-
-    @classmethod
-    def load(cls, path: str) -> "PointConfig":
-        return cls.from_json_obj(load_json(path))
 
 
 def moment_curve_config(n: int, d: int) -> PointConfig:
@@ -273,6 +309,20 @@ def lift_odd(config: PointConfig) -> PointConfig:
     return PointConfig(config.dimension + 1, tuple(lifted) + (apex,))
 
 
+def ordered_sides(a, b) -> tuple[frozenset, frozenset, bool]:
+    """The two sides of a pair of label sets as frozensets, the side holding
+    the smallest label first, and whether they were swapped to get there.
+    Both must be nonempty and share no label. Not part of galecross.__all__."""
+    a, b = frozenset(a), frozenset(b)
+    if not a or not b:
+        raise InvalidInputError("both sides of a pair must be nonempty")
+    if a & b:
+        raise InvalidInputError("pair sides share a label")
+    if min(b) < min(a):
+        return b, a, True
+    return a, b, False
+
+
 @dataclass(frozen=True)
 class SimplexPair:
     """Unordered pair of disjoint vertex sets, canonicalized so that `left`
@@ -282,14 +332,7 @@ class SimplexPair:
     right: frozenset
 
     def __post_init__(self):
-        left = frozenset(self.left)
-        right = frozenset(self.right)
-        if not left or not right:
-            raise InvalidInputError("both sides of a pair must be nonempty")
-        if left & right:
-            raise InvalidInputError("pair sides share a vertex")
-        if min(right) < min(left):
-            left, right = right, left
+        left, right, _ = ordered_sides(self.left, self.right)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 

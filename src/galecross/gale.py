@@ -30,27 +30,29 @@ sides.
 
 Each diagram holds its vectors as int rows over one common scale, made once
 per instance; the spanning check, the candidate scan in separations and the
-witness audits read them.
+witness audits read them. GaleDiagram names its header, its row field and its
+noun; the row code it shares with PointConfig (label index, integer form, row
+checks, the file form, save and load) is configs.LabeledRows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 from .configs import (
     LabeledPoint,
+    LabeledRows,
     PointConfig,
     SimplexPair,
     is_general_position,
+    ordered_sides,
     require_general_position,
 )
 from .errors import InvalidInputError
-from .jsonio import atomic_write_text, canonical_dumps, load_json
 from .linalg import clear_denominators, int_det, kernel_basis, rank
-from .rationals import format_vector, parse_count, parse_label, parse_vector
+from .rationals import format_vector
 
 
 def lift_matrix(config: PointConfig) -> list[list[int]]:
@@ -64,10 +66,14 @@ def lift_matrix(config: PointConfig) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class GaleDiagram:
+class GaleDiagram(LabeledRows):
     m: int
     source_d: int
     vectors: tuple[LabeledPoint, ...]
+
+    _HEADER = ("m", "source_d")
+    _ROWS = "vectors"
+    _NOUN = "diagram"
 
     def __post_init__(self):
         if self.m < 1:
@@ -76,19 +82,11 @@ class GaleDiagram:
             raise InvalidInputError("source dimension source_d must be >= 0")
         if len(self.vectors) != self.m + self.source_d + 1:
             raise InvalidInputError("vector count must equal m + source_d + 1")
-        labels = [v.label for v in self.vectors]
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError("duplicate diagram labels")
-        for v in self.vectors:
-            if len(v.coords) != self.m:
-                raise InvalidInputError(f"vector {v.label} has wrong width")
+        self._check_rows(self.m)
 
     @property
     def source_n(self) -> int:
         return len(self.vectors)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(v.label for v in self.vectors)
 
     def vector(self, label: str) -> tuple[Fraction, ...]:
         return self.vectors[self._position(label)].coords
@@ -96,52 +94,7 @@ class GaleDiagram:
     def int_vector(self, label: str) -> tuple[int, ...]:
         """vector(label) times the diagram's common scale s > 0, as ints; s
         keeps every sign and every linear dependence."""
-        return self._integer_form[self._position(label)]
-
-    def _position(self, label) -> int:
-        try:
-            return self._index[label]
-        except (KeyError, TypeError):
-            raise InvalidInputError(f"unknown diagram label: {label}") from None
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v.label: i for i, v in enumerate(self.vectors)}
-
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], ...]:
-        rows, _ = clear_denominators([v.coords for v in self.vectors])
-        return tuple(map(tuple, rows))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "source_d": self.source_d,
-            "vectors": [
-                {"label": v.label, "coords": format_vector(v.coords)} for v in self.vectors
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "GaleDiagram":
-        try:
-            return cls(
-                parse_count(obj["m"], "m"),
-                parse_count(obj["source_d"], "source_d"),
-                tuple(
-                    LabeledPoint(parse_label(item["label"]), parse_vector(item["coords"]))
-                    for item in obj["vectors"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed diagram file: {exc!r}") from exc
-
-    def save(self, path: str) -> None:
-        atomic_write_text(path, canonical_dumps(self.to_json_obj()))
-
-    @classmethod
-    def load(cls, path: str) -> "GaleDiagram":
-        return cls.from_json_obj(load_json(path))
+        return self._integer_form[0][self._position(label)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +114,7 @@ class LinearSeparation:
     witness_shifts: tuple = field(default=())
 
     def __post_init__(self):
-        a = frozenset(self.side_a)
-        b = frozenset(self.side_b)
-        if not a or not b:
-            raise InvalidInputError("separation sides must be nonempty")
-        if a & b:
-            raise InvalidInputError("separation sides overlap")
-        swap = min(b) < min(a)
-        if swap:
-            a, b = b, a
+        a, b, swap = ordered_sides(self.side_a, self.side_b)
         object.__setattr__(self, "side_a", a)
         object.__setattr__(self, "side_b", b)
         shifts = tuple(sorted((str(lab), int(s)) for lab, s in self.witness_shifts))
@@ -217,7 +162,7 @@ def gale_transform(config: PointConfig) -> GaleDiagram:
     n, d = config.n, config.dimension
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2 so that m >= 1")
-    if n - d - 1 < d and "_degenerate_subset" not in config.__dict__:
+    if n - d - 1 < d and not config._scanned():
         diagram = _kernel_diagram(config)
         if diagram is not None and verify_spanning(diagram):
             return diagram
@@ -242,7 +187,7 @@ def _kernel_diagram(config: PointConfig) -> GaleDiagram | None:
 def verify_spanning(diagram: GaleDiagram) -> bool:
     """True iff every m-subset of diagram vectors has rank m: its m x m
     determinant on the diagram's int vectors is nonzero."""
-    for rows in combinations(diagram._integer_form, diagram.m):
+    for rows in combinations(diagram._integer_form[0], diagram.m):
         if int_det(rows) == 0:
             return False
     return True
@@ -270,7 +215,7 @@ def separation_classifies(diagram: GaleDiagram, separation: LinearSeparation) ->
     witness_shifts with the side it was assigned to."""
     shifts = dict(separation.witness_shifts)
     (h,), _ = clear_denominators([separation.witness_normal])
-    for v, g in zip(diagram.vectors, diagram._integer_form):
+    for v, g in zip(diagram.vectors, diagram._integer_form[0]):
         lab = v.label
         dot = sum(a * b for a, b in zip(h, g))
         if dot == 0:

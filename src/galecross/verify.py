@@ -232,25 +232,25 @@ def _require_pipeline_dimension(d: int) -> None:
 def check_pipeline(config: PointConfig) -> str:
     """One 2d-point configuration through the whole counting pipeline.
 
-    The direct exhaustive count gives the set of crossing (d,d) pairs once,
-    and every (d,d) verdict below is read from it. The block schedule runs on
-    (d+4)-subsets and each separation maps to a mid-size pair. Each distinct
-    pair smaller than (d,d) is checked to cross by simplices_cross once, and
-    each of its extensions to (d,d) must be in the set: a crossing pair that
-    spans R^d stays crossing when a point joins one side. The raw separation
-    total must meet floor(log2(d+4)) per subset."""
+    The direct exhaustive count gives the set of crossing (d,d) pairs once
+    (crossing_pair_set), and every (d,d) verdict below is read from it. The
+    block schedule runs on (d+4)-subsets, must give at least floor(log2(d+4))
+    separations on each, and each separation maps to a mid-size pair. These
+    pairs are distinct by construction: each is a partition of its own
+    subset, and one subset's separations are distinct. Each pair smaller than
+    (d,d) is checked to cross by simplices_cross, and each of its extensions
+    to (d,d) must be in the set: a crossing pair that spans R^d stays
+    crossing when a point joins one side."""
     d = config.dimension
     _require_pipeline_dimension(d)
     if config.n != 2 * d:
         return f"pipeline needs 2d = {2 * d} points, got {config.n}"
-    crossing = {w.pair for w in count_crossing_pairs(config, d, d, keep_witnesses=True).witnesses}
+    crossing = crossing_pair_set(config, d, d)
     labels = sorted(config.labels())
     log_bound = (d + 4).bit_length() - 1
     subsets = list(combinations(labels, d + 4))
     if d == 6:
         subsets = subsets[:SUBSET_CAP_D6]
-    raw = 0
-    decided = set()
     for subset_labels in subsets:
         sub = config.subset(subset_labels)
         diagram = gale_transform(sub)
@@ -263,12 +263,8 @@ def check_pipeline(config: PointConfig) -> str:
             )
         if d == 4 and len(separations) < 4:
             return f"eight-vector subset gave {len(separations)} separations < 4"
-        raw += len(separations)
         for sep in separations:
             pair = separation_to_crossing(diagram, sep)
-            if pair in decided:
-                continue
-            decided.add(pair)
             if pair.sizes() != (d, d) and simplices_cross(config, pair.left, pair.right) is None:
                 return (
                     f"schedule pair {sorted(pair.left)}|{sorted(pair.right)} "
@@ -277,14 +273,7 @@ def check_pipeline(config: PointConfig) -> str:
             detail = _missing_extension(extension_pairs(config, pair, d), crossing)
             if detail:
                 return detail
-    vkf_detail = _vkf_probe(config, crossing)
-    if vkf_detail:
-        return vkf_detail
-    if raw < log_bound * len(subsets):
-        return (
-            f"raw separation total {raw} < {log_bound} x {len(subsets)} subsets"
-        )
-    return ""
+    return _vkf_probe(config, crossing)
 
 
 def verify_schedule_pipeline(d: int, trials: int, seed: int) -> VerificationReport:

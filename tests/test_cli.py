@@ -157,6 +157,22 @@ def test_count_bad_sizes_exit_2(tmp_path, capsys, cyclic_square):
     assert "sizes" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cross", "--a", ",", "--b", "p2"), "empty label list"),
+        (("count", "--sizes", "a,b"), "bad sizes"),
+    ],
+    ids=["cross-empty-labels", "count-non-integer-sizes"],
+)
+def test_bad_label_list_or_sizes_exit_2(tmp_path, capsys, cyclic_square, argv, message):
+    path = write_config(tmp_path, cyclic_square)
+    code, stdout, stderr = run(capsys, argv[0], "--in", path, *argv[1:])
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
+
+
 def test_separations_default_sizes(tmp_path, capsys, zigzag_square):
     path = write_config(tmp_path, zigzag_square)
     code, stdout, _ = run(capsys, "separations", "--in", path, "--json")
@@ -471,6 +487,29 @@ def test_malformed_header_exit_2(tmp_path, capsys, command, body):
     code, _, stderr = run(capsys, command, "--in", str(path))
     assert code == 2
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (_with(DIAGRAM_FILE, m=0), "m must be >= 1"),
+        (_relabeled(DIAGRAM_FILE, "vectors", "g2"), "duplicate diagram labels"),
+        (
+            _with(DIAGRAM_FILE, vectors=[{**DIAGRAM_FILE["vectors"][0], "coords": ["1", "2"]}]
+                  + DIAGRAM_FILE["vectors"][1:]),
+            "g1",
+        ),
+        (_with({}, rows=[]), "neither a point file nor a diagram file"),
+    ],
+    ids=["m-zero", "duplicate-label", "wrong-width", "neither"],
+)
+def test_diagram_file_row_checks_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "dia.json"
+    path.write_bytes(body)
+    code, stdout, stderr = run(capsys, "separations", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
 
 
 def _replace_field(where, value):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -36,6 +37,12 @@ def test_square_diagonals_witness(cyclic_square):
     assert w.left_coeffs == (F(1, 2), F(1, 2))
     assert w.right_coeffs == (F(1, 2), F(1, 2))
     assert w.validate(cyclic_square)
+
+
+def test_validate_refuses_wrong_coefficient_count(cyclic_square):
+    w = simplices_cross(cyclic_square, ["p1", "p3"], ["p2", "p4"])
+    assert not replace(w, left_coeffs=w.left_coeffs[:1]).validate(cyclic_square)
+    assert not replace(w, right_coeffs=w.right_coeffs + (F(0),)).validate(cyclic_square)
 
 
 def test_square_edges_do_not_cross(cyclic_square):

@@ -110,6 +110,16 @@ def test_diagram_validation():
     assert GaleDiagram(1, 0, (v, LabeledPoint("g2", (F(-1),)))).source_d == 0
 
 
+def test_diagram_row_checks():
+    v = LabeledPoint("g1", (F(1),))
+    with pytest.raises(InvalidInputError, match="m must be >= 1"):
+        GaleDiagram(0, 1, (LabeledPoint("g1", ()), LabeledPoint("g2", ())))
+    with pytest.raises(InvalidInputError, match="duplicate diagram labels"):
+        GaleDiagram(1, 0, (v, v))
+    with pytest.raises(InvalidInputError, match="g2"):
+        GaleDiagram(1, 0, (v, LabeledPoint("g2", (F(1), F(2)))))
+
+
 def test_diagram_round_trip(tmp_path):
     dia = gale_transform(moment_curve_config(6, 3))
     path = tmp_path / "dia.json"
@@ -186,6 +196,15 @@ def test_classifies_rejects_unlisted_on_plane_vector():
     )
     assert separation_classifies(dia, listed)
     assert oracle_realizable(dia, listed)
+
+
+def test_classifies_rejects_shift_of_off_plane_vector(zigzag_square):
+    dia = gale_transform(zigzag_square)
+    listed = LinearSeparation(
+        frozenset({"p1", "p4"}), frozenset({"p2", "p3"}), (F(1),), (("p1", 1),)
+    )
+    # p1 is strictly on the positive side, so it has no business in the shifts
+    assert not separation_classifies(dia, listed)
 
 
 def test_separation_to_crossing(zigzag_square):
@@ -305,7 +324,7 @@ def test_small_m_transform_leaves_point_scan_unset(monkeypatch):
     assert gale_transform(cfg) == gale_transform(drawn)
     assert len(spans) == 1  # drawn holds its scan, so only cfg is checked
     assert dets == []
-    assert "_degenerate_subset" not in cfg.__dict__
+    assert not cfg._scanned()
     assert is_general_position(cfg)
     assert len(dets) == comb(10, 7)
     # m >= d: the point side decides, and the diagram is not checked

@@ -389,6 +389,12 @@ def test_ham_sandwich_input_errors():
         ham_sandwich_cut(dia, HamSandwichInstance(3, frozenset(), frozenset()), (5, 4))
 
 
+def test_ham_sandwich_refuses_diagram_above_r3():
+    dia = diagram_of(9, 4)  # m = 4
+    with pytest.raises(InvalidInputError, match="R\\^1..R\\^3"):
+        ham_sandwich_cut(dia, HamSandwichInstance(4, frozenset(), frozenset()), (4, 5))
+
+
 def test_schedule_eight_moment_frozen():
     trace = schedule_eight(diagram_of(8, 4))
     assert trace.case_taken == "case_ii"

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -119,28 +118,24 @@ def test_pipeline_decides_each_pair_once(monkeypatch):
     d = config.dimension
     inside_count = []
     calls = []
-    count = galecross.verify.count_crossing_pairs
+    pair_set = galecross.verify.crossing_pair_set
+    crossing = galecross.crossing._crossing
 
     def counting(*args, **kwargs):
         inside_count.append(True)
         try:
-            return count(*args, **kwargs)
+            return pair_set(*args, **kwargs)
         finally:
             inside_count.pop()
 
-    def spying(module):
-        cross = module.simplices_cross
+    def spy(cfg, left, right):
+        if cfg is config:
+            calls.append((SimplexPair(frozenset(left), frozenset(right)), bool(inside_count)))
+        return crossing(cfg, left, right)
 
-        def spy(cfg, left, right):
-            if cfg is config:
-                calls.append((SimplexPair(frozenset(left), frozenset(right)), bool(inside_count)))
-            return cross(cfg, left, right)
-
-        return spy
-
-    monkeypatch.setattr(galecross.verify, "count_crossing_pairs", counting)
-    for module in (galecross.crossing, galecross.verify):
-        monkeypatch.setattr(module, "simplices_cross", spying(module))
+    # every verdict, by crossing_pair_set or simplices_cross, is _crossing's
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", counting)
+    monkeypatch.setattr(galecross.crossing, "_crossing", spy)
     assert check_pipeline(config) == ""
     full = Counter(pair for pair, _ in calls if pair.sizes() == (d, d))
     assert len(full) == pascal(2 * d, d) // 2
@@ -159,15 +154,15 @@ def test_pipeline_fails_when_direct_count_loses_a_derived_pair(monkeypatch):
     diagram = gale_transform(subset)
     pair = separation_to_crossing(diagram, schedule_blocks(diagram).separations()[0])
     lost = SimplexPair(*extension_pairs(config, pair, d)[0])
-    count = galecross.verify.count_crossing_pairs
+    pair_set = galecross.verify.crossing_pair_set
 
     def losing(*args, **kwargs):
-        result = count(*args, **kwargs)
-        kept = tuple(w for w in result.witnesses if w.pair != lost)
-        assert len(kept) == len(result.witnesses) - 1
-        return replace(result, crossing_pairs=len(kept), witnesses=kept)
+        result = pair_set(*args, **kwargs)
+        kept = result - {lost}
+        assert len(kept) == len(result) - 1
+        return kept
 
-    monkeypatch.setattr(galecross.verify, "count_crossing_pairs", losing)
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", losing)
     detail = check_pipeline(config)
     assert "not a crossing pair of the direct count" in detail
     assert str(sorted(lost.left)) in detail and str(sorted(lost.right)) in detail
