@@ -21,7 +21,7 @@ from .configs import (
     moment_curve_config,
     random_config,
 )
-from .crossing import count_crossing_pairs, simplices_cross
+from .crossing import count_crossing_pairs, disjoint_pair_count, simplices_cross
 from .errors import (
     GalecrossError,
     InvalidInputError,
@@ -154,7 +154,7 @@ def _cmd_count(args) -> tuple[dict, str, int]:
     p, q = _sizes(args.sizes)
     n = config.n
     if p >= 1 and q >= 1 and p + q <= n:
-        pairs = comb(n, p) * comb(n - p, q) // (2 if p == q else 1)
+        pairs = disjoint_pair_count(n, p, q)
         verify_ops.require_budget(pairs, f"({p},{q})-pairs of {n} points")
     result = count_crossing_pairs(config, p, q, keep_witnesses=args.witnesses)
     summary = (

@@ -247,6 +247,12 @@ def _disjoint_pairs(config: PointConfig, p: int, q: int):
             yield left, right
 
 
+def disjoint_pair_count(n: int, p: int, q: int) -> int:
+    """How many pairs _disjoint_pairs yields on n labels: C(n,p) C(n-p,q),
+    halved when p = q because such a pair comes once."""
+    return comb(n, p) * comb(n - p, q) // (2 if p == q else 1)
+
+
 def _checked_pairs(config: PointConfig, p: int, q: int):
     """_disjoint_pairs of a count, after refusing part sizes that do not fit
     and a configuration not in general position."""

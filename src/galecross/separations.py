@@ -20,6 +20,12 @@ and compute no further dot product. A candidate's Fraction normal is made
 only when a separation is built from it, once per candidate, and
 enumeration dedupes partitions before it builds any separation.
 
+The schedules' state is the list of blocks: the maximal groups of labels
+that no cut so far has separated. It starts as one block of all labels, and
+each cut refines it once, splitting every block by the cut's two sides; the
+pairs that one refinement splits are the pairs that cut separates for the
+first time.
+
 Enumeration rests on a rotation argument: any hyperplane strictly separating
 the vectors can be rotated, without any vector changing sides, until it
 contains m-1 of them. So scanning every candidate and every sign assignment of
@@ -228,12 +234,6 @@ def _sized_sides(candidates, sizes):
                 yield candidate, plus | up, minus | (set(subset) - up), assignment
 
 
-def _sized(candidates, sizes):
-    """The separations of _sized_sides, in scan order."""
-    for candidate, positive, negative, assignment in _sized_sides(candidates, sizes):
-        yield LinearSeparation(positive, negative, candidate.normal, assignment)
-
-
 def enumerate_separations(diagram: GaleDiagram, sizes) -> list[LinearSeparation]:
     """Every partition of the diagram's labels with part sizes {s1, s2} that a
     hyperplane through the origin realizes strictly (after on-plane sign
@@ -280,7 +280,8 @@ def _cuts(candidates, inst: HamSandwichInstance, sizes):
     the bisection bound ignores the sign, so no enumerated separation outside
     this family bisects."""
     bisecting = (c for c in candidates if _bisects(c, inst))
-    return _sized(bisecting, sizes)
+    for candidate, positive, negative, assignment in _sized_sides(bisecting, sizes):
+        yield LinearSeparation(positive, negative, candidate.normal, assignment)
 
 
 def ham_sandwich_cut(diagram: GaleDiagram, inst: HamSandwichInstance, sizes) -> LinearSeparation:
@@ -302,21 +303,16 @@ def ham_sandwich_cut(diagram: GaleDiagram, inst: HamSandwichInstance, sizes) -> 
     )
 
 
-def _blocks(labels, separations):
-    """Maximal never-yet-separated groups: the common refinement of all
-    separations so far, as a list of frozensets."""
-    blocks = [frozenset(labels)]
-    for sep in separations:
-        refined = []
-        for block in blocks:
-            a = block & sep.side_a
-            b = block & sep.side_b
-            if a:
-                refined.append(a)
-            if b:
-                refined.append(b)
-        blocks = refined
-    return blocks
+def _refine(blocks, sep):
+    """One cut's step of the schedules' state. `blocks` are the maximal
+    groups of labels that no earlier cut separated; split each by the cut's
+    two sides and drop empty parts. Returns the new blocks and the sorted
+    pairs inside the old blocks that the cut splits."""
+    refined = []
+    for block in blocks:
+        refined.extend(part for part in (block & sep.side_a, block & sep.side_b) if part)
+    within = _within_block_pairs(blocks)
+    return refined, tuple((x, y) for x, y in within if (x in sep.side_a) != (y in sep.side_a))
 
 
 def _within_block_pairs(blocks):
@@ -324,17 +320,6 @@ def _within_block_pairs(blocks):
     for block in blocks:
         pairs.extend(combinations(sorted(block), 2))
     return sorted(pairs)
-
-
-def _newly_separated(seen, sep):
-    """Pairs split by `sep` that every separation in `seen` kept together."""
-    out = []
-    for block in _blocks(sep.side_a | sep.side_b, seen):
-        for x, y in combinations(sorted(block), 2):
-            split = (x in sep.side_a) != (y in sep.side_a)
-            if split:
-                out.append((x, y))
-    return tuple(sorted(out))
 
 
 def _splits(group):
@@ -379,32 +364,32 @@ def schedule_eight(diagram: GaleDiagram) -> ScheduleTrace:
     vectors from A and leaves B split 2-2; no such cut is (A, B) itself."""
     if diagram.m != 3 or diagram.source_n != 8:
         raise InvalidInputError("schedule needs exactly 8 vectors in R^3")
-    labels = sorted(diagram.labels())
-    all_labels = frozenset(labels)
+    all_labels = frozenset(diagram.labels())
     candidates = _oriented_candidates(diagram)
-    seps = []
+    blocks = [all_labels]
     steps = []
 
     def run_step(group, wanted, kind="cut", note=""):
+        nonlocal blocks
         inst = HamSandwichInstance(diagram.m, group, all_labels - group)
         sep = _first_cut(candidates, inst, proper_sizes(8), wanted)
-        steps.append(ScheduleStep(inst, sep, _newly_separated(seps, sep), kind, note))
-        seps.append(sep)
+        blocks, pairs = _refine(blocks, sep)
+        steps.append(ScheduleStep(inst, sep, pairs, kind, note))
         return sep
 
     s1 = run_step(all_labels, _splits(all_labels))
     run_step(s1.side_a, _splits(s1.side_a))
-    pair3 = frozenset(_within_block_pairs(_blocks(labels, seps))[0])
+    pair3 = frozenset(_within_block_pairs(blocks)[0])
     run_step(pair3, _splits(pair3))
 
-    surviving = _within_block_pairs(_blocks(labels, seps))
+    surviving = _within_block_pairs(blocks)
     if surviving:
         case = "case_ii"
         pair4 = frozenset(surviving[0])
         run_step(pair4, _splits(pair4))
     else:
         case = "case_i"
-        quad = _find_lopsided_quad(labels, seps)
+        quad = _find_lopsided_quad(all_labels, [step.separation for step in steps])
         if quad is None:
             # three 4/4 cuts that split every pair give the labels all eight
             # sign patterns, and 000, 100, 010, 001 form a 3-1 quad
@@ -443,33 +428,33 @@ def _assert_distinct(trace: ScheduleTrace):
 def schedule_blocks(diagram: GaleDiagram) -> ScheduleTrace:
     """Block-refinement schedule for d+4 vectors in R^3 (d >= 4).
 
-    Maintains the maximal never-yet-separated blocks. Round 1 colors everything
-    alike; every later round recolors the largest surviving block against its
-    complement and takes the first cut that splits a pair inside it, which
-    the splitting lemma guarantees. Each emitted separation certifies at least
-    one newly split within-block pair, so the refinement strictly progresses
-    and the trace length is at least ceil(log2(n)) by the time every block is
-    a singleton: k separations can tell at most 2^k labels apart."""
+    Maintains the maximal never-yet-separated blocks, refined once per cut.
+    Round 1 colors everything alike; every later round recolors the largest
+    surviving block against its complement and takes the first cut that
+    splits a pair inside it, which the splitting lemma guarantees. Each
+    emitted separation certifies at least one newly split within-block pair,
+    so the refinement strictly progresses and the trace length is at least
+    ceil(log2(n)) by the time every block is a singleton: k separations can
+    tell at most 2^k labels apart."""
     if diagram.m != 3 or diagram.source_d < 4:
         raise InvalidInputError("schedule needs d+4 vectors in R^3 with d >= 4")
     if diagram.source_n == 8:
         # eight vectors: the four-cut schedule subsumes block refinement and
         # certifies four distinct separations, one more than log2(8)
         return schedule_eight(diagram)
-    labels = sorted(diagram.labels())
-    all_labels = frozenset(labels)
+    all_labels = frozenset(diagram.labels())
     candidates = _oriented_candidates(diagram)
-    seps = []
+    blocks = [all_labels]
     steps = []
     while True:
-        big = [b for b in _blocks(labels, seps) if len(b) >= 2]
+        big = [b for b in blocks if len(b) >= 2]
         if not big:
             break
         target = min(big, key=lambda b: (-len(b), min(b)))
         inst = HamSandwichInstance(diagram.m, target, all_labels - target)
-        sep = _first_cut(candidates, inst, proper_sizes(len(labels)), _splits(target))
-        steps.append(ScheduleStep(inst, sep, _newly_separated(seps, sep)))
-        seps.append(sep)
+        sep = _first_cut(candidates, inst, proper_sizes(len(all_labels)), _splits(target))
+        blocks, pairs = _refine(blocks, sep)
+        steps.append(ScheduleStep(inst, sep, pairs))
     trace = ScheduleTrace(tuple(steps))
     _assert_distinct(trace)
     return trace

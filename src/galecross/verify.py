@@ -16,7 +16,8 @@ from itertools import combinations
 
 from .configs import PointConfig, SimplexPair, draw_config, lift_odd, random_config
 from .crossing import (
-    count_crossing_pairs, crossing_pair_set, extension_pairs, simplices_cross, vkf_find
+    count_crossing_pairs, crossing_pair_set, disjoint_pair_count, extension_pairs,
+    simplices_cross, vkf_find,
 )
 from .errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
 from .gale import gale_transform, proper_sizes, separation_to_crossing, verify_duality
@@ -291,7 +292,7 @@ def check_vkf(config: PointConfig) -> str:
     n, d = config.n, config.dimension
     size = d // 2 + 1
     if d % 2 == 0 and n == d + 3:
-        pairs = math.comb(n, size) * math.comb(n - size, size) // 2
+        pairs = disjoint_pair_count(n, size, size)
         require_budget(pairs, f"({size},{size})-pairs")
     witness = vkf_find(config)
     sizes = tuple(sorted((len(witness.pair.left), len(witness.pair.right))))

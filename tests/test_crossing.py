@@ -23,11 +23,22 @@ from galecross import (
     simplices_cross,
     vkf_find,
 )
-from galecross.crossing import crossing_pair_set
+from galecross.crossing import _disjoint_pairs, crossing_pair_set, disjoint_pair_count
 from galecross.errors import InvalidInputError, TheoremViolationError
 from oracles import OPTIMAL, fm_crossing, fraction_simplex_max, pascal, planar_crossing_count
 
 F = Fraction
+
+
+def test_disjoint_pair_count_matches_enumeration():
+    # the one (p,q)-pair count behind the count and vkf work budgets
+    for n in range(2, 9):
+        config = config_from(1, [(f"p{i}", (i,)) for i in range(n)])
+        for p in range(1, n):
+            for q in range(1, n - p + 1):
+                pairs = list(_disjoint_pairs(config, p, q))
+                assert len(set(pairs)) == len(pairs)
+                assert disjoint_pair_count(n, p, q) == len(pairs), (n, p, q)
 
 
 def test_square_diagonals_witness(cyclic_square):

@@ -98,11 +98,13 @@ def test_transform_errors():
 
 def test_diagram_validation():
     v = LabeledPoint("g1", (F(1),))
-    with pytest.raises(InvalidInputError):
-        GaleDiagram(1, 2, (v,) * 2)  # duplicate labels
-    with pytest.raises(InvalidInputError):
-        GaleDiagram(1, 2, (v, LabeledPoint("g2", (F(1), F(2)))))
-    with pytest.raises(InvalidInputError):
+    # m + source_d + 1 = 4 vectors, so each case reaches the check it names
+    rest = tuple(LabeledPoint(lab, (F(1),)) for lab in ("g3", "g4"))
+    with pytest.raises(InvalidInputError, match="duplicate diagram labels"):
+        GaleDiagram(1, 2, (v, v) + rest)
+    with pytest.raises(InvalidInputError, match="row g2 has 2 coords, expected 1"):
+        GaleDiagram(1, 2, (v, LabeledPoint("g2", (F(1), F(2)))) + rest)
+    with pytest.raises(InvalidInputError, match="vector count must equal m"):
         GaleDiagram(2, 2, (v,))
     pair = (LabeledPoint("g1", (F(1), F(0), F(0))), LabeledPoint("g2", (F(2), F(0), F(0))))
     with pytest.raises(InvalidInputError, match="source_d"):

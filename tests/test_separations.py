@@ -26,11 +26,11 @@ from galecross.errors import InvalidInputError, SearchIncompleteError
 from galecross.gale import proper_sizes
 from galecross.separations import (
     _bisects,
-    _blocks,
     _cuts,
     _find_lopsided_quad,
     _first_cut,
     _oriented_candidates,
+    _refine,
     _splits,
     _spreads,
     _within_block_pairs,
@@ -575,7 +575,42 @@ def _half(labels, side):
 
 
 def _splits_every_pair(labels, seps):
-    return not _within_block_pairs(_blocks(labels, seps))
+    blocks = [frozenset(labels)]
+    for sep in seps:
+        blocks, _ = _refine(blocks, sep)
+    return not _within_block_pairs(blocks)
+
+
+@st.composite
+def bipartition_sequences(draw):
+    n = draw(st.integers(8, 10))
+    labels = [f"v{i}" for i in range(n)]
+    side = st.sets(st.sampled_from(labels), min_size=1, max_size=n - 1)
+    return labels, [_half(labels, s) for s in draw(st.lists(side, min_size=1, max_size=6))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bipartition_sequences())
+def test_refine_reports_each_pair_at_its_first_split(case):
+    labels, seps = case
+    pairs = list(combinations(sorted(labels), 2))
+    # brute force: the index of the first separation with x and y on different sides
+    first = {
+        (x, y): next((i for i, sep in enumerate(seps) if (x in sep.side_a) != (y in sep.side_a)), None)
+        for x, y in pairs
+    }
+    blocks = [frozenset(labels)]
+    reported = []
+    for i, sep in enumerate(seps):
+        blocks, split = _refine(blocks, sep)
+        assert list(split) == [pair for pair in pairs if first[pair] == i]
+        reported.extend(split)
+    # every split pair is reported exactly once, and no other pair is
+    assert sorted(reported) == [pair for pair in pairs if first[pair] is not None]
+    assert _within_block_pairs(blocks) == [pair for pair in pairs if first[pair] is None]
+    # the blocks are nonempty and partition the labels
+    assert all(blocks)
+    assert sorted(lab for block in blocks for lab in block) == sorted(labels)
 
 
 def test_every_full_splitting_triple_has_a_lopsided_quad():

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,14 +19,17 @@ from galecross import (
     verify_schedule_pipeline,
     verify_vkf,
 )
-from galecross.configs import SimplexPair
-from galecross.crossing import extension_pairs
-from galecross.errors import InvalidInputError
+from galecross.configs import DUMMY_LABEL, SimplexPair
+from galecross.crossing import crossing_pair_set, extension_pairs
+from galecross.errors import InvalidInputError, SearchIncompleteError, TheoremViolationError
+from galecross.separations import ScheduleTrace
 from galecross.verify import (
     BoundReport,
     VerificationReport,
+    _vkf_probe,
     bound_report,
     check_bijection,
+    check_duality,
     check_eight_points,
     check_pipeline,
     check_planar,
@@ -286,3 +290,127 @@ def test_bound_report_json():
 def test_duality_helper_on_squares(zigzag_square, cyclic_square):
     assert verify_duality(zigzag_square)
     assert verify_duality(cyclic_square)
+
+
+# Each failure branch of the checks, reached by replacing a name that
+# galecross.verify imports; a wrong engine behind one of them must show here.
+
+
+@pytest.mark.parametrize("error", [InvalidInputError, TheoremViolationError, SearchIncompleteError])
+def test_domain_error_fails_only_its_trial(monkeypatch, error):
+    pair_set = galecross.verify.crossing_pair_set
+    calls = []
+
+    def first_raises(*args):
+        calls.append(True)
+        if len(calls) == 1:
+            raise error("boom")
+        return pair_set(*args)
+
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", first_raises)
+    rep = verify_bijection(2, 4, trials=3, seed=0)
+    assert rep.failures == ((0, f"{error.__name__}: boom"),)
+    assert rep.passes == 2 and len(calls) == 3
+
+
+def test_bijection_check_catches_a_wrong_pair_set(monkeypatch):
+    config = moment_curve_config(6, 3)
+    real = crossing_pair_set(config, 3, 3)
+    assert len(real) == 3
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", lambda *args: set())
+    assert check_bijection(config) == "separation count 3 != direct crossing count 0"
+    bogus = SimplexPair(frozenset({"x"}), frozenset({"y"}))
+    swapped = set(sorted(real, key=str)[1:]) | {bogus}
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", lambda *args: swapped)
+    assert check_bijection(config) == "mapped pair set differs from the directly counted pair set"
+
+
+def test_eight_point_check_catches_each_broken_side(monkeypatch):
+    config = moment_curve_config(8, 4)
+    assert check_eight_points(config) == ""
+    schedule = galecross.verify.schedule_eight
+    with monkeypatch.context() as m:
+        m.setattr(galecross.verify, "crossing_pair_set", lambda *args: set())
+        assert check_eight_points(config) == "direct crossing count 0 < 4"
+    with monkeypatch.context() as m:
+        repeated = lambda diagram: ScheduleTrace(schedule(diagram).steps[:1] * 4)
+        m.setattr(galecross.verify, "schedule_eight", repeated)
+        assert check_eight_points(config) == "schedule produced 1 distinct separations < 4"
+    bogus = {SimplexPair(frozenset({f"x{i}"}), frozenset({f"y{i}"})) for i in range(4)}
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", lambda *args: bogus)
+    first = schedule(gale_transform(config)).separations()[0]
+    assert check_eight_points(config) == (
+        f"schedule separation {sorted(first.side_a)} maps to a non-crossing pair"
+    )
+
+
+def test_vkf_probe_catches_each_broken_step(monkeypatch):
+    apex = SimpleNamespace(pair=SimplexPair(frozenset({DUMMY_LABEL, "p1"}), frozenset({"p2"})))
+    with monkeypatch.context() as m:
+        m.setattr(galecross.verify, "vkf_find", lambda config: apex)
+        assert _vkf_probe(moment_curve_config(8, 3), set()) == "lifted witness uses the apex point"
+    config = moment_curve_config(8, 4)
+    with monkeypatch.context() as m:
+        m.setattr(galecross.verify, "simplices_cross", lambda *args: None)
+        assert _vkf_probe(config, set()) == (
+            "probe witness does not cross inside the full configuration"
+        )
+    monkeypatch.setattr(galecross.verify, "extension_pairs", lambda *args: [])
+    assert _vkf_probe(config, set()) == "extension checked 0 distributions, expected 2"
+
+
+def test_pipeline_check_catches_a_short_schedule(monkeypatch):
+    config = moment_curve_config(8, 4)
+    schedule = galecross.verify.schedule_blocks
+    with monkeypatch.context() as m:
+        m.setattr(galecross.verify, "schedule_blocks", lambda diagram: ScheduleTrace(()))
+        assert check_pipeline(config) == (
+            f"subset {tuple(sorted(config.labels()))}: 0 separations < floor-log bound 3"
+        )
+    short = lambda diagram: ScheduleTrace(schedule(diagram).steps[:3])
+    monkeypatch.setattr(galecross.verify, "schedule_blocks", short)
+    assert check_pipeline(config) == "eight-vector subset gave 3 separations < 4"
+
+
+def test_pipeline_check_catches_a_non_crossing_schedule_pair(monkeypatch):
+    config = PIPELINE_D5
+    subset = config.subset(sorted(config.labels())[: config.dimension + 4])
+    diagram = gale_transform(subset)
+    pair = separation_to_crossing(diagram, schedule_blocks(diagram).separations()[0])
+    assert pair.sizes() != (5, 5)
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", lambda *args: set())
+    monkeypatch.setattr(galecross.verify, "simplices_cross", lambda *args: None)
+    assert check_pipeline(config) == (
+        f"schedule pair {sorted(pair.left)}|{sorted(pair.right)} does not cross"
+    )
+
+
+def test_vkf_check_catches_wrong_witness_sizes(monkeypatch):
+    small = SimpleNamespace(pair=SimplexPair(frozenset({"p1"}), frozenset({"p2"})))
+    monkeypatch.setattr(galecross.verify, "vkf_find", lambda config: small)
+    assert check_vkf(moment_curve_config(5, 2)) == "witness sizes (1, 1) != (2, 2)"
+
+
+def test_duality_check_catches_a_failed_equivalence(monkeypatch, cyclic_square):
+    assert check_duality(cyclic_square) == ""
+    monkeypatch.setattr(galecross.verify, "verify_duality", lambda config: False)
+    assert check_duality(cyclic_square) == "position/spanning equivalence failed"
+
+
+def test_fixed_report_turns_theorem_errors_into_failures(monkeypatch):
+    config = moment_curve_config(6, 3)
+
+    def raising(error):
+        def pair_set(*args):
+            raise error("boom")
+
+        return pair_set
+
+    for error in (TheoremViolationError, SearchIncompleteError):
+        monkeypatch.setattr(galecross.verify, "crossing_pair_set", raising(error))
+        rep = fixed_report("bijection", config, check_bijection)
+        assert rep.failures == ((-1, f"{config.config_id()}: {error.__name__}: boom"),)
+        assert rep.passes == 0 and rep.trials == 1
+    monkeypatch.setattr(galecross.verify, "crossing_pair_set", raising(InvalidInputError))
+    with pytest.raises(InvalidInputError, match="boom"):
+        fixed_report("bijection", config, check_bijection)
