@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError, RetryLimitError
 from .jsonio import atomic_write_text, canonical_dumps, load_json
-from .linalg import ONE, clear_denominators, det, int_det
+from .linalg import ONE, clear_denominators, int_det
 from .rationals import format_vector, parse_count, parse_label, parse_vector
 
 DUMMY_LABEL = "dummy"
@@ -154,28 +154,12 @@ class PointConfig(LabeledRows):
     @cached_property
     def _degenerate_subset(self) -> tuple[str, ...] | None:
         """find_degenerate_subset's scan, made once per instance: the
-        configuration is frozen, so its answer never changes.
-
-        A (d+1)-subset is affinely dependent iff the d x d determinant of its
-        other points minus its first point is zero: subtracting the first row
-        of the affine matrix (each point's coordinates, then a one) from the
-        others and expanding along the column of ones shows the affine
-        determinant is (-1)^d times it. The differences are taken on the int
-        coordinates, once per first point, and the sign of every determinant
-        the scan reaches is kept for orientation()."""
-        labels = sorted(self.labels())
-        rows = [self.int_coords(lab) for lab in labels]
-        signs = self._orientations
-        d = self.dimension
-        for i, first in enumerate(rows):
-            diffs = [tuple(x - y for x, y in zip(row, first)) for row in rows[i + 1 :]]
-            for rest, minor in zip(combinations(labels[i + 1 :], d), combinations(diffs, d)):
-                key = (labels[i], *rest)
-                value = det(minor).numerator
-                signs[key] = (value > 0) - (value < 0)
-                if not value:
-                    return key
-        return None
+        configuration is frozen, so its answer never changes. It walks the
+        (d+1)-subsets in lexicographic label order and returns the first
+        whose orientation is 0. Every sign it reads is kept, so a subset
+        reads the signs its parent already holds."""
+        keys = combinations(sorted(self.labels()), self.dimension + 1)
+        return next((key for key in keys if not self.orientation(key)), None)
 
     @cached_property
     def _orientations(self) -> dict[tuple[str, ...], int]:
@@ -185,9 +169,11 @@ class PointConfig(LabeledRows):
         """The sign (1, -1 or 0) of det(x_1 - x_0, ..., x_d - x_0) for the
         points of `key`, a tuple of d+1 distinct labels x_0, ..., x_d in that
         order: (-1)^d times the sign of their affine determinant, 0 exactly
-        when they are affinely dependent. Read from the general-position scan
-        when it reached `key` (the scan's keys are sorted), else computed once
-        and kept."""
+        when they are affinely dependent. Subtracting the first row of the
+        affine matrix (each point's coordinates, then a one) from the others
+        and expanding along the column of ones gives that factor. The
+        d x d int_det is taken on the int coordinates, once per key: every
+        sign is kept, and shared with subsets."""
         sign = self._orientations.get(key)
         if sign is None:
             if len(key) != self.dimension + 1 or len(set(key)) != len(key):
@@ -271,9 +257,11 @@ def find_degenerate_subset(config: PointConfig) -> tuple[str, ...] | None:
     """First (d+1)-subset, in lexicographic label order, that is affinely
     dependent; None when the configuration is in general position.
 
-    The C(n, d+1) determinants are computed on the first call for a
-    configuration instance only, and not at all for a subset of one already
-    known to be in general position; later calls return the stored answer."""
+    The scan reads orientation() of each (d+1)-subset on the first call for
+    a configuration instance only, and not at all for a subset of one already
+    known to be in general position; later calls return the stored answer.
+    A subset shares its parent's signs, so it makes no determinant for a
+    sign its parent holds, even when it was made before the parent's scan."""
     return config._degenerate_subset
 
 

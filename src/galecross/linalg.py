@@ -4,13 +4,14 @@ elimination, rank, determinants, and canonical null-space bases.
 A matrix is a sequence of equal-length rows, and its width is the length of
 the first row, so a matrix with no rows has no columns. Entries are Fractions
 or ints; every result is exact either way. clear_denominators is the one rule
-that turns rational rows into int rows; det and rref clear once and then
-eliminate fraction-free on Python ints; int_det is det's integer core, for
-callers that already hold int rows: the diagram's spanning check and the
-candidate scan in separations, whose normals are the cofactor vectors of
-their subsets, made of (m-1) x (m-1) minors. int_det answers n <= 2 in
-closed form (so the minors of the m = 3 scan cost one product difference)
-and runs Bareiss elimination beyond. rref serves rank and kernel_basis.
+that turns rational rows into int rows; rref clears once and then eliminates
+fraction-free on Python ints. int_det is the one determinant, on int rows the
+caller already holds: the point side's orientation signs (which decide
+general position), the diagram's spanning check and the candidate scan in
+separations, whose normals are the cofactor vectors of their subsets, made
+of (m-1) x (m-1) minors. int_det answers n <= 2 in closed form (so the
+minors of the m = 3 scan cost one product difference) and runs Bareiss
+elimination beyond. rref serves rank and kernel_basis.
 Everything here is deterministic.
 kernel_basis returns the RREF-derived basis (one vector per free column, free
 columns in ascending order), which downstream code treats as *the* canonical
@@ -81,16 +82,6 @@ def rref(rows) -> tuple[list[list[int]], tuple[int, ...], int]:
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def det(rows) -> Fraction:
-    """Determinant: the rows cleared of denominators by one scale s, then
-    int_det of the int rows over s**n."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise InvalidInputError("determinant requires a square matrix")
-    ints, scale = clear_denominators(rows)
-    return Fraction(int_det(ints), scale**n)
 
 
 def int_det(rows) -> int:

@@ -1,3 +1,4 @@
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,31 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from galecross import LabeledPoint, PointConfig
 from oracles import separable_sides
+
+
+TEST_TIME_LIMIT_S = 120  # the slowest test takes about 5 s
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised inside a test that runs past TEST_TIME_LIMIT_S. It is not an
+    Exception, so a test's own `except Exception` cannot swallow it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that hangs instead of stalling the whole run: arm
+    SIGALRM for the test, then disarm it and restore the previous handler."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def config_from(dimension, rows):

@@ -50,7 +50,7 @@ def test_tracer_counts_linalg_layers():
     finally:
         tracer.uninstall()
     for name in (
-        "linalg.det",
+        "linalg.int_det",
         "linalg.rref",
         "linalg.kernel_basis",
         "configs.find_degenerate_subset",

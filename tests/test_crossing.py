@@ -11,6 +11,7 @@ import galecross.lp
 import oracles
 from conftest import config_from, with_pivots
 from galecross import (
+    CrossingWitness,
     LabeledPoint,
     PointConfig,
     SimplexPair,
@@ -54,6 +55,20 @@ def test_validate_refuses_wrong_coefficient_count(cyclic_square):
     w = simplices_cross(cyclic_square, ["p1", "p3"], ["p2", "p4"])
     assert not replace(w, left_coeffs=w.left_coeffs[:1]).validate(cyclic_square)
     assert not replace(w, right_coeffs=w.right_coeffs + (F(0),)).validate(cyclic_square)
+
+
+def test_validate_refuses_zero_weight():
+    # boundary contact at (1,0): the two combinations are equal and each side
+    # sums to one, but one side puts weight 0 on a vertex, so the point is
+    # not in that side's relative interior
+    pair = SimplexPair(frozenset({"p1", "p2"}), frozenset({"p3", "p4"}))
+    point = (F(1), F(0))
+    left_zero = config_from(2, [("p1", (1, 0)), ("p2", (1, 1)), ("p3", (0, 0)), ("p4", (2, 0))])
+    w = CrossingWitness(pair, point, (F(1), F(0)), (F(1, 2), F(1, 2)))
+    assert not w.validate(left_zero)
+    right_zero = config_from(2, [("p1", (0, 0)), ("p2", (2, 0)), ("p3", (1, 0)), ("p4", (1, 1))])
+    w = CrossingWitness(pair, point, (F(1, 2), F(1, 2)), (F(1), F(0)))
+    assert not w.validate(right_zero)
 
 
 def test_square_edges_do_not_cross(cyclic_square):

@@ -318,7 +318,7 @@ def test_small_m_transform_leaves_point_scan_unset(monkeypatch):
     # 10 points in R^6 (m = 3): the diagram's 3 x 3 determinants decide
     # general position, and the configuration stores no scan, so a later
     # is_general_position still makes the affine side's own determinants
-    dets = _counting(monkeypatch, galecross.configs, "det")
+    dets = _counting(monkeypatch, galecross.configs, "int_det")
     spans = _counting(monkeypatch, galecross.gale, "verify_spanning")
     drawn = random_config(10, 6, 3, 1000)
     dets.clear()
