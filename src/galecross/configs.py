@@ -185,6 +185,54 @@ class PointConfig(LabeledRows):
             sign = self._orientations[key] = (value > 0) - (value < 0)
         return sign
 
+    @cached_property
+    def _cocircuits(self) -> dict[tuple[str, ...], tuple[int, int]]:
+        return {}
+
+    @cached_property
+    def _sorted_bits(self) -> tuple[tuple[str, int], ...]:
+        """Each label with the bit of its row (row_mask), in label order."""
+        return tuple(sorted((label, 1 << i) for label, i in self._index.items()))
+
+    def row_mask(self, labels) -> int:
+        """The bitmask of the labels' row positions: bit i stands for the
+        i-th point of `points`."""
+        mask = 0
+        for label in labels:
+            mask |= 1 << self._position(label)
+        return mask
+
+    def cocircuit(self, key: tuple[str, ...]) -> tuple[int, int]:
+        """The two open sides of the hyperplane through the points of `key`,
+        a sorted tuple of d distinct labels, as row masks (row_mask): the
+        points x outside key on side +1, then those on side -1. The side of
+        x is (-1)^i * orientation(sorted key + x), i being x's position in
+        that tuple; it is 0 for x on the hyperplane, and for every x when
+        key is affinely dependent. The table is filled from orientation
+        signs alone, one key on first use, and kept per instance: a subset
+        numbers its rows differently, so it does not share it."""
+        sides = self._cocircuits.get(key)
+        if sides is None:
+            if len(key) != self.dimension or list(key) != sorted(set(key)):
+                raise InvalidInputError(
+                    f"cocircuit needs {self.dimension} sorted distinct labels, got {list(key)}"
+                )
+            plus = minus = 0
+            i = 0
+            for label, bit in self._sorted_bits:
+                if i < len(key) and key[i] == label:
+                    i += 1
+                    continue
+                side = self.orientation((*key[:i], label, *key[i:]))
+                if i % 2:
+                    side = -side
+                if side > 0:
+                    plus |= bit
+                elif side < 0:
+                    minus |= bit
+            sides = self._cocircuits[key] = (plus, minus)
+        return sides
+
     def subset(self, labels) -> "PointConfig":
         """Restriction to the given labels, preserving the original order.
 
@@ -237,15 +285,29 @@ def random_config(n: int, d: int, seed: int, coord_range: int) -> PointConfig:
     whole configuration until it is in general position.
 
     Generator: random.Random (MT19937) seeded with `seed`; draws happen point by
-    point, coordinate by coordinate, via randrange. Same inputs, same output."""
+    point, coordinate by coordinate, via randrange. Same inputs, same output.
+
+    General position is decided on the side of Gale duality with the smaller
+    determinants. When 1 <= m = n-d-1 < d, a draw is accepted iff its
+    diagram exists and spans (gale.spanning_diagram), the same answer as the
+    points' scan, and the configuration holds no point-side scan; otherwise
+    the points' scan decides and is stored."""
     if n < d + 1:
         raise InvalidInputError("need n >= d + 1")
     if coord_range < 1:
         raise InvalidInputError("range must come as a positive integer")
+    if 1 <= n - d - 1 < d:
+        from .gale import spanning_diagram  # gale imports this module
+
+        def accept(config):
+            return spanning_diagram(config) is not None
+
+    else:
+        accept = is_general_position
     rng = random.Random(seed)
     for _ in range(RETRY_LIMIT):
         config = draw_config(rng, n, d, coord_range)
-        if is_general_position(config):
+        if accept(config):
             return config
     raise RetryLimitError(
         f"no general-position configuration after {RETRY_LIMIT} attempts "

@@ -5,7 +5,9 @@ larger vertex sets.
 Two simplices cross when their relative interiors share a point. A hyperplane
 through d of their vertices that leaves one vertex set on each closed side,
 and some vertex off it, separates them properly and proves that they do not;
-the configuration's stored orientation signs find one without an LP. Every
+the configuration's cocircuit table (PointConfig.cocircuit: for each such
+hyperplane, the points on each side as a row mask, filled from orientation
+signs) finds one without an LP. Every
 other pair goes to a max-min LP over the barycentric weights, and crosses
 exactly when its optimum is strictly positive. Boundary contact (optimum
 exactly 0) is NOT crossing, and pairs sharing a vertex are refused outright
@@ -113,17 +115,19 @@ class ExtensionResult:
 
 def _separated(config: PointConfig, left, right) -> bool | None:
     """Whether a hyperplane through d points of left + right separates the two
-    sides properly, read off orientation signs; None, without a search, unless
-    d < len(left) + len(right) <= d + 4, so at most C(p+q-1, 3) hyperplanes
-    are tried.
+    sides properly, read off the configuration's cocircuit table; None,
+    without a search, unless d < len(left) + len(right) <= d + 4, so at most
+    C(p+q-1, 3) hyperplanes are tried.
 
     A d-subset S puts a further point x on side (-1)^i * orientation(S + x),
-    i being x's position in sorted S + x. S separates when every nonzero side
-    is one sign on left and the other on right. A nonzero side means S spans
-    a hyperplane H with that point off H: conv left and conv right lie in
-    opposite closed half-spaces of H and not both in H, so their relative
-    interiors are disjoint (Rockafellar, Convex Analysis, Thm. 11.3). That
-    holds for any points.
+    i being x's position in sorted S + x; PointConfig.cocircuit(S) holds the
+    points on side +1 and on side -1 as two row masks. The two sides of the
+    pair become masks once, so each S is tested by a few AND operations. S
+    separates when every nonzero side is one sign on left and the other on
+    right, and some point of left + right is off the hyperplane H that S
+    spans: conv left and conv right lie in opposite closed half-spaces of H
+    and not both in H, so their relative interiors are disjoint
+    (Rockafellar, Convex Analysis, Thm. 11.3). That holds for any points.
 
     Conversely, let left + right be in general position and affinely span
     R^d, and let their relative interiors be disjoint. A proper separating
@@ -137,25 +141,15 @@ def _separated(config: PointConfig, left, right) -> bool | None:
     d = config.dimension
     if not d < len(left) + len(right) <= d + 4:
         return None
-    both = sorted([*left, *right])
-    lefts = set(left)
-    for s in combinations(both[1:], d):
-        seen = 0
-        pos = 0
-        for x in both:
-            if pos < d and s[pos] == x:
-                pos += 1
-                continue
-            side = config.orientation((*s[:pos], x, *s[pos:]))
-            if (x in lefts) == pos % 2:
-                side = -side
-            if side:
-                if seen == -side:
-                    break
-                seen = side
-        else:
-            if seen:
-                return True
+    lmask = config.row_mask(left)
+    rmask = config.row_mask(right)
+    both = lmask | rmask
+    for s in combinations(sorted([*left, *right])[1:], d):
+        plus, minus = config.cocircuit(s)
+        if not (plus | minus) & both:
+            continue
+        if not (minus & lmask or plus & rmask) or not (plus & lmask or minus & rmask):
+            return True
     return False
 
 

@@ -21,7 +21,9 @@ outside S: iff those m vectors are dependent. Both sides thus answer the
 same C(n, d+1) = C(n, m) questions: d x d determinants on the points
 (configs.find_degenerate_subset) or m x m ones on the diagram
 (verify_spanning). gale_transform builds the diagram first and checks it when
-m < d and the configuration has no stored scan. The diagram side only says
+m < d and the configuration has no stored scan, and configs.random_config
+accepts its draws by the same test (spanning_diagram) when 1 <= m < d. The
+diagram side only says
 yes or no, so when it says no, or when the points do not affinely span R^d
 (the kernel has more than m vectors), the point-side scan runs and names the
 first dependent subset. Only that scan stores an answer on the
@@ -163,11 +165,24 @@ def gale_transform(config: PointConfig) -> GaleDiagram:
     if n < d + 2:
         raise InvalidInputError("need n >= d + 2 so that m >= 1")
     if n - d - 1 < d and not config._scanned():
-        diagram = _kernel_diagram(config)
-        if diagram is not None and verify_spanning(diagram):
+        diagram = spanning_diagram(config)
+        if diagram is not None:
             return diagram
     require_general_position(config)
     return _kernel_diagram(config)
+
+
+def spanning_diagram(config: PointConfig) -> GaleDiagram | None:
+    """The diagram of a configuration of n >= d+2 points when its m x m
+    determinants say the points are in general position: the points affinely
+    span R^d and every m-subset of the diagram's vectors spans R^m (see the
+    module docstring). None otherwise. Nothing is stored on the
+    configuration, so a later point-side scan still computes its own
+    answer."""
+    diagram = _kernel_diagram(config)
+    if diagram is not None and verify_spanning(diagram):
+        return diagram
+    return None
 
 
 def _kernel_diagram(config: PointConfig) -> GaleDiagram | None:

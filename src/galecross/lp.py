@@ -5,14 +5,17 @@ no tolerances anywhere). Problem sizes in this package are tiny (tens of rows
 and columns), so clarity beats sparsity. The tableau is fraction-free in the
 style of lrslib (Avis 2000): a matrix of Python ints with one common
 denominator, so the true tableau is tab/den, and each pivot is the
-Edmonds/Jordan integer update.
+Edmonds/Jordan integer update. As in lrs, the objective is kept as one more
+int row of the tableau, den times the reduced costs, and every pivot updates
+it with the same step; it is built once per phase, so choosing the entering
+column reads one row instead of pricing each column against the basis rows.
 
 Public surface:
   simplex_max -- maximize c.x subject to a x = b, x >= 0.
   lp_max_min  -- lp_max_min(aeq, b): maximize t subject to aeq x = b and
                  x_i >= t (x otherwise free), where aeq is a sequence of
                  equal-length rows, one per entry of b. Its one caller is
-                 the crossing predicate, crossing.simplices_cross.
+                 the crossing verdict, crossing._crossing.
 
 simplex_max takes ints and Fractions as they come (anything else is refused
 once per LP) and clears the denominators of a Fraction input. Ints become
@@ -27,9 +30,10 @@ makes no solution Fraction at all.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TheoremViolationError
 from .linalg import clear_denominators
 
 OPTIMAL = "optimal"
@@ -53,29 +57,45 @@ class LpResult(NamedTuple):
         return tuple(Fraction(v, self.den) for v in self.numerators)
 
 
-def _optimize(tab, basis, den, cost):
-    """Pivot the integer tableau to optimality for `cost` (maximization).
+def _objective_row(tab, basis, den, cost):
+    """den times the reduced-cost row of `cost` (maximization) for the basis,
+    kept as the tableau's last row: entry j is sum cb_i tab_ij - cost_j*den,
+    negative exactly when column j improves, and the last entry, over den, is
+    the objective value of the basic solution."""
+    row = [-c * den for c in cost] + [0]
+    for b, tab_row in zip(basis, tab):
+        if cost[b]:
+            row = [x + cost[b] * y for x, y in zip(row, tab_row)]
+    return row
 
-    Bland's rule both for entering (smallest improving column index) and
-    leaving (smallest basic variable among minimum ratios). The true tableau
-    is tab/den with den > 0, so the reduced cost cost_j - sum cb_i tab_ij/den
-    has the sign of cost_j*den - sum cb_i tab_ij, and the ratios of the
-    right-hand side (each row's last entry) to positive column entries
-    compare by cross-multiplying. Returns ("optimal" or "unbounded", den);
+
+def _optimize(tab, basis, den):
+    """Pivot the integer tableau to optimality for the objective held in its
+    last row (see _objective_row). Returns ("optimal" or "unbounded", den);
     mutates tab/basis in place.
+
+    Bland's rule both for entering (the first negative entry of the
+    objective row) and leaving (smallest basic variable among minimum
+    ratios). The true tableau is tab/den with den > 0, so the ratios of the
+    right-hand side (each row's last entry) to positive column entries
+    compare by cross-multiplying. Bland's rule visits no basis twice, so
+    more iterations than there are bases, C(columns, rows), mean a broken
+    tableau and raise TheoremViolationError instead of looping forever.
     """
-    n = len(cost)
-    while True:
-        priced = [(cost[b], row) for b, row in zip(basis, tab) if cost[b]]
+    rows = len(tab) - 1
+    columns = len(tab[-1]) - 1
+    for _ in range(comb(columns, rows)):
+        obj = tab[-1]
         entering = -1
-        for j in range(n):
-            if cost[j] * den > sum(cb * row[j] for cb, row in priced):
+        for j in range(columns):
+            if obj[j] < 0:
                 entering = j
                 break
         if entering < 0:
             return OPTIMAL, den
         leaving = -1
-        for i, row in enumerate(tab):
+        for i in range(rows):
+            row = tab[i]
             coef = row[entering]
             if coef > 0:
                 if leaving >= 0:
@@ -88,16 +108,18 @@ def _optimize(tab, basis, den, cost):
         if leaving < 0:
             return UNBOUNDED, den
         den = _pivot(tab, basis, den, leaving, entering)
+    raise TheoremViolationError("simplex pivoted past its basis count: THEOREM_VIOLATION")
 
 
 def _pivot(tab, basis, den, r, s):
     """Exchange basis[r] for column s and return the new common denominator.
 
-    Edmonds/Jordan update: with p = tab[r][s], every other row k becomes
-    (tab[k]*p - tab[k][s]*tab[r]) // den and |p| is the new denominator; a
-    negative pivot first negates its own row, which negates all others too.
-    The division is exact because every entry is then a minor of the scaled
-    input matrix (Edmonds 1967)."""
+    Edmonds/Jordan update: with p = tab[r][s], every other row k, the
+    objective row included, becomes (tab[k]*p - tab[k][s]*tab[r]) // den and
+    |p| is the new denominator; a negative pivot first negates its own row,
+    which negates all others too. The division is exact because every entry
+    is then a minor of the scaled input matrix with the cost row appended
+    (Edmonds 1967; lrs keeps its objective row the same way)."""
     pivot_row = tab[r]
     p = pivot_row[s]
     if p < 0:
@@ -139,8 +161,10 @@ def simplex_max(c, a, b) -> LpResult:
         else:
             tab.append([*row, *unit, v])
     basis = list(range(n, n + m))
-    _, den = _optimize(tab, basis, 1, [0] * n + [-1] * m)
-    if any(bi >= n and row[-1] != 0 for bi, row in zip(basis, tab)):
+    tab.append(_objective_row(tab, basis, 1, [0] * n + [-1] * m))
+    _, den = _optimize(tab, basis, 1)
+    # the phase-1 objective is minus the artificials' sum: 0 iff feasible
+    if tab.pop()[-1]:
         return LpResult(INFEASIBLE)
     redundant = []
     for i in range(m):
@@ -155,14 +179,14 @@ def simplex_max(c, a, b) -> LpResult:
         del basis[i]
     tab = [row[:n] + row[-1:] for row in tab]
 
-    status, den = _optimize(tab, basis, den, cost)
+    tab.append(_objective_row(tab, basis, den, cost))
+    status, den = _optimize(tab, basis, den)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     x = [0] * n
     for bi, row in zip(basis, tab):
         x[bi] = row[-1]
-    objective = Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, tab)), den * scale)
-    return LpResult(OPTIMAL, objective, x, den)
+    return LpResult(OPTIMAL, Fraction(tab[-1][-1], den * scale), x, den)
 
 
 def lp_max_min(aeq, b) -> LpResult:

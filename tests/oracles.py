@@ -4,7 +4,7 @@ Everything here is deliberately written against different algorithms than the
 package: Fourier-Motzkin elimination instead of the simplex method, random
 normal sampling instead of candidate-plane enumeration, orientation predicates
 instead of LP feasibility, and the Pascal recurrence instead of math.comb.
-Three oracles follow the package's algorithm in different arithmetic, so the
+Some oracles follow the package's algorithm in different arithmetic, so the
 package must reach the same results by the same steps. fraction_simplex_max is
 a two-phase tableau simplex with a Fraction in every cell, against the
 package's integer tableau; fraction_rref is Gauss-Jordan elimination with a
@@ -12,7 +12,9 @@ Fraction in every cell, against the package's fraction-free integer
 elimination; fraction_candidate_scan finds each candidate hyperplane's normal
 from fraction_rref and classifies the other vectors by Fraction dot products;
 fraction_degenerate_subset ranks each affine (d+1)-subset with fraction_rref,
-against the package's integer determinants of differences.
+against the package's integer determinants of differences; separated_walk
+searches one pair's separating hyperplanes point by point with Fraction
+affine determinants, against the package's cocircuit table of row masks.
 Slow is fine; these only run in tests on small instances.
 """
 
@@ -304,6 +306,36 @@ def fraction_degenerate_subset(labeled_points, d):
         if len(fraction_rref(rows)[1]) < d + 1:
             return subset
     return None
+
+
+def affine_side(points, key, label):
+    """The side of point `label` of the hyperplane through the points of
+    `key`, d labels in sorted order: the sign of the affine determinant of
+    key's points followed by that point (fraction_affine_sign), 0 when the
+    point lies on the hyperplane or key spans none. `points` maps labels to
+    coordinates."""
+    return fraction_affine_sign([points[lab] for lab in (*key, label)])
+
+
+def separated_walk(labeled_points, left, right):
+    """The per-pair walk for a hyperplane through d points of left + right
+    that separates them properly: for each d-subset of the labels without
+    the smallest one, in lexicographic order, the affine_side of every other
+    point, negated on right, must take exactly one nonzero value, all points
+    on it aside. None, without a walk, unless d < len(left) + len(right)
+    <= d + 4."""
+    points = dict(labeled_points)
+    d = len(next(iter(points.values())))
+    if not d < len(left) + len(right) <= d + 4:
+        return None
+    both = sorted([*left, *right])
+    for key in combinations(both[1:], d):
+        signs = {affine_side(points, key, x) for x in left if x not in key}
+        signs |= {-affine_side(points, key, x) for x in right if x not in key}
+        signs.discard(0)
+        if len(signs) == 1:
+            return True
+    return False
 
 
 def fraction_candidate_scan(labeled_vectors):

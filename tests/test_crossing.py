@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import galecross.configs
 import galecross.crossing
 import galecross.lp
 import oracles
@@ -453,6 +455,107 @@ def test_separating_hyperplane_size_rule(monkeypatch):
     monkeypatch.setattr(PointConfig, "orientation", no_orientation)
     assert simplices_cross(line, ["p1", "p2", "p3"], ["p4", "p5", "p6"]) is None
     assert simplices_cross(moment_curve_config(6, 3), ["p1"], ["p2", "p3"]) is None
+
+
+@st.composite
+def cocircuit_cases(draw):
+    """Integer points stored in shuffled label order, so row positions differ
+    from label order: d in 1..4 and up to d+5 points, with coordinates in
+    [-2, 2], where points often lie on a hyperplane through others, or in
+    [-60, 60], mostly general position. Then a few disjoint pairs, their
+    sizes inside and outside the window of _separated, and one label that a
+    subset leaves out."""
+    d = draw(st.integers(1, 4), label="d")
+    n = draw(st.integers(2, d + 5), label="n")
+    spread = draw(st.sampled_from([2, 60]), label="spread")
+    labels = draw(st.permutations([f"p{i}" for i in range(1, n + 1)]))
+    coords = st.lists(st.integers(-spread, spread), min_size=d, max_size=d)
+    rows = [(lab, tuple(draw(coords))) for lab in labels]
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(labels))
+        p = draw(st.integers(1, n - 1))
+        q = draw(st.integers(1, n - p))
+        pairs.append((order[:p], order[p : p + q]))
+    return d, rows, pairs, draw(st.sampled_from(labels), label="left out")
+
+
+def _table_sides(config, key):
+    """config.cocircuit(key) as the two label sets its row masks stand for."""
+    return tuple(
+        {p.label for i, p in enumerate(config.points) if mask >> i & 1}
+        for mask in config.cocircuit(key)
+    )
+
+
+def _oracle_sides(rows, key):
+    points = dict(rows)
+    sides = {x: oracles.affine_side(points, key, x) for x in points if x not in key}
+    return {x for x, s in sides.items() if s > 0}, {x for x, s in sides.items() if s < 0}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cocircuit_cases())
+def test_separated_matches_the_per_pair_walk(case):
+    # the cocircuit table's answer is the per-pair walk's on every input:
+    # degenerate points with zero sides, and sizes outside the window (None)
+    d, rows, pairs, _ = case
+    cfg = config_from(d, rows)
+    for left, right in pairs:
+        want = oracles.separated_walk(rows, left, right)
+        event(f"separated: {want}")
+        assert galecross.crossing._separated(cfg, left, right) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cocircuit_cases())
+def test_cocircuit_table_matches_affine_sides(case):
+    # each key's row masks name the points on each side of its hyperplane;
+    # a subset made after the parent's table is filled numbers its rows
+    # afresh, so its masks must be its own
+    d, rows, _, gone = case
+    cfg = config_from(d, rows)
+    for key in combinations(sorted(cfg.labels()), d):
+        assert _table_sides(cfg, key) == _oracle_sides(rows, key)
+    kept = [row for row in rows if row[0] != gone]
+    sub = cfg.subset(lab for lab, _ in kept)
+    for key in combinations(sorted(sub.labels()), d):
+        assert _table_sides(sub, key) == _oracle_sides(kept, key)
+
+
+def test_subset_fills_its_own_cocircuit_table():
+    # p1 leaves, so every other point moves down one row: the parent's masks
+    # would name the wrong points
+    cfg = moment_curve_config(6, 2)
+    sub = cfg.subset(["p2", "p3", "p4", "p5", "p6"])
+    assert _table_sides(cfg, ("p3", "p5")) == ({"p1", "p2", "p6"}, {"p4"})
+    assert _table_sides(sub, ("p3", "p5")) == ({"p2", "p6"}, {"p4"})
+    assert galecross.crossing._separated(sub, ["p2", "p4"], ["p3", "p5"]) is False
+    assert galecross.crossing._separated(sub, ["p2", "p3"], ["p4", "p5"]) is True
+
+
+def test_cocircuit_refuses_malformed_keys():
+    cfg = moment_curve_config(5, 2)
+    for key in (("p2", "p1"), ("p1", "p1"), ("p1",), ("p1", "p2", "p3"), ("p1", "zz")):
+        with pytest.raises(InvalidInputError):
+            cfg.cocircuit(key)
+
+
+def test_separated_reads_stored_signs_only(monkeypatch):
+    # once the general-position scan holds every orientation sign, filling
+    # the cocircuit table and every search make no determinant
+    cfg = random_config(7, 3, 11, 1000)
+    assert is_general_position(cfg)
+    dets = []
+    int_det = galecross.configs.int_det
+    monkeypatch.setattr(
+        galecross.configs, "int_det", lambda rows: dets.append(rows) or int_det(rows)
+    )
+    found = [
+        galecross.crossing._separated(cfg, left, right)
+        for left, right in _disjoint_pairs(cfg, 3, 4)
+    ]
+    assert dets == [] and True in found and False in found
 
 
 def test_missed_hyperplane_in_general_position_raises(cyclic_square, monkeypatch):

@@ -28,6 +28,7 @@ from galecross import (
     verify_duality,
     verify_spanning,
 )
+from galecross.configs import draw_config
 from galecross.errors import InvalidInputError
 from oracles import fraction_degenerate_subset, fraction_kernel_basis, fraction_rref
 
@@ -316,23 +317,48 @@ def _counting(monkeypatch, module, name):
 
 def test_small_m_transform_leaves_point_scan_unset(monkeypatch):
     # 10 points in R^6 (m = 3): the diagram's 3 x 3 determinants decide
-    # general position, and the configuration stores no scan, so a later
-    # is_general_position still makes the affine side's own determinants
+    # general position, in random_config and in gale_transform, and neither
+    # stores a scan, so a later is_general_position still makes the affine
+    # side's own determinants
     dets = _counting(monkeypatch, galecross.configs, "int_det")
     spans = _counting(monkeypatch, galecross.gale, "verify_spanning")
     drawn = random_config(10, 6, 3, 1000)
-    dets.clear()
+    assert len(spans) == 1  # the first draw is accepted
+    spans.clear()
     cfg = PointConfig(drawn.dimension, drawn.points)
     assert gale_transform(cfg) == gale_transform(drawn)
-    assert len(spans) == 1  # drawn holds its scan, so only cfg is checked
+    assert len(spans) == 2  # neither holds a scan, so both are checked
     assert dets == []
-    assert not cfg._scanned()
+    assert not cfg._scanned() and not drawn._scanned()
     assert is_general_position(cfg)
     assert len(dets) == comb(10, 7)
     # m >= d: the point side decides, and the diagram is not checked
     spans.clear()
     gale_transform(moment_curve_config(7, 3))
     assert spans == []
+
+
+@pytest.mark.parametrize("n, d, spread", [(7, 5, 1), (8, 5, 1), (10, 6, 2)])
+def test_random_config_on_the_diagram_side_draws_what_the_points_accept(n, d, spread):
+    # 1 <= m < d: random_config accepts a draw by the diagram's determinants;
+    # it must accept exactly the draws the rank oracle calls general position
+    # (these small ranges reject 14, 169 and 1 draws over the 12 seeds)
+    for seed in range(12):
+        rng = random.Random(seed)
+        while True:
+            want = draw_config(rng, n, d, spread)
+            rows = [(p.label, p.coords) for p in want.points]
+            if fraction_degenerate_subset(rows, d) is None:
+                break
+        got = random_config(n, d, seed, spread)
+        assert got == want
+        assert not got._scanned()
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (7, 3), (8, 2)])
+def test_random_config_keeps_the_point_scan_unless_m_is_below_d(n, d):
+    # m = 0 has no diagram, and m >= d makes the point side the smaller one
+    assert random_config(n, d, 5, 3)._scanned()
 
 
 def test_diagram_clears_its_vectors_once(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 import galecross.lp
 import oracles
 from conftest import with_pivots
-from galecross.errors import InvalidInputError
+from galecross.errors import InvalidInputError, TheoremViolationError
 from galecross.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -48,6 +48,15 @@ def test_simplex_degenerate_terminates():
     res = simplex_max([1, 1], [[1, 1], [2, 2]], [1, 2])
     assert res.status == OPTIMAL
     assert res.objective == 1
+
+
+def test_optimize_stops_when_a_basis_repeats(monkeypatch):
+    # Bland's rule never visits a basis twice; a pivot that changes nothing
+    # would keep the same column entering forever, and the basis count
+    # C(columns, rows) turns that into an error instead of a hang
+    monkeypatch.setattr(galecross.lp, "_pivot", lambda tab, basis, den, r, s: den)
+    with pytest.raises(TheoremViolationError, match="basis count"):
+        simplex_max([1, 1], [[1, 2]], [3])
 
 
 def test_lp_max_min_frozen_examples():

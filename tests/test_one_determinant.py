@@ -1,7 +1,7 @@
 """The point side has one determinant route: in `configs.py` only
 `PointConfig.orientation` calls a determinant, so the general-position scan
-reads its signs there, and `linalg.py` defines no Fraction `det` beside
-`int_det`."""
+and the cocircuit table read their signs there, `crossing.py` calls none, and
+`linalg.py` defines no Fraction `det` beside `int_det`."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,19 @@ def test_only_orientation_calls_a_determinant_in_configs():
     calls = _det_calls(_parse("configs.py"))
     assert calls, "orientation no longer calls int_det"
     assert [(line, scope) for line, scope in calls if scope != ROUTE] == []
+
+
+def test_cocircuit_table_and_crossing_read_orientation_only():
+    tree = _parse("configs.py")
+    table = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cocircuit"
+    )
+    called = {_name_of(node.func) for node in ast.walk(table) if isinstance(node, ast.Call)}
+    assert "orientation" in called
+    assert [scope for _, scope in _det_calls(tree) if "cocircuit" in scope] == []
+    assert _det_calls(_parse("crossing.py")) == []
 
 
 def test_linalg_defines_no_fraction_det():
